@@ -207,7 +207,7 @@ void SolveService::run_job(const std::shared_ptr<Job>& job) {
     // Adopt the caller's trace context: this span becomes the worker-side
     // child of the client/frontdoor span named in trace.parent_span.
     stamp_trace(span, job->request, "service.request");
-    response = execute(job->request, &cached, job->partial);
+    response = execute(job->request, queue_ms, &cached, job->partial);
     if (span.active()) span.arg({"cached", cached});
   }
   completed_.fetch_add(1, std::memory_order_relaxed);
@@ -215,13 +215,14 @@ void SolveService::run_job(const std::shared_ptr<Job>& job) {
 }
 
 std::string SolveService::execute(
-    const ServiceRequest& request, bool* cached,
+    const ServiceRequest& request, double queue_ms, bool* cached,
     const std::function<void(std::string)>& partial) {
   const auto start = Clock::now();
   ResponseMeta meta;
   meta.id = request.id;
   meta.trace_id = request.trace_id;
   meta.include_timing = !config_.serial;
+  meta.queue_ms = queue_ms;
 
   StatusOr<Soc> loaded = load_request_soc(request);
   if (!loaded.ok()) {
@@ -242,7 +243,6 @@ std::string SolveService::execute(
       obs::counter("service.cache.hits").add();
       meta.cached = true;
       *cached = true;
-      meta.queue_ms = 0.0;
       meta.wall_ms = ms_since(start);
       latency_ms_.observe(meta.wall_ms);
       append_service_ledger(request, *hit, meta.wall_ms);

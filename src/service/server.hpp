@@ -114,7 +114,10 @@ class SolveService {
  private:
   struct Job;
   void run_job(const std::shared_ptr<Job>& job);
-  std::string execute(const ServiceRequest& request, bool* cached,
+  /// `queue_ms` is the job's measured wait before a worker picked it up
+  /// (0 in serial mode); it is stamped on the response's timing fields.
+  std::string execute(const ServiceRequest& request, double queue_ms,
+                      bool* cached,
                       const std::function<void(std::string)>& partial);
   void append_service_ledger(const ServiceRequest& request,
                              const SolveOutcome& outcome, double wall_ms);

@@ -114,13 +114,17 @@ DesignResult design_architecture(const Soc& soc, const DesignRequest& request) {
                                                 request.bus_widths.end());
   const TestTimeTable& table = cached_test_time_table(soc, std::max(1, max_width));
 
-  // With a live deadline or cancellation source, kExact alone could expire
-  // with no incumbent at all; the portfolio's greedy floor guarantees a
-  // feasible answer whenever one exists, so it becomes the degradation
-  // chain for anytime requests (docs/robustness.md).
-  const bool anytime = request.deadline.finite() || request.cancel != nullptr;
+  // Only a finite deadline is a budget: kExact alone could expire with no
+  // incumbent at all, so the portfolio's greedy floor becomes the
+  // degradation chain for deadline-bound requests (docs/robustness.md). A
+  // cancellation token is not a budget — the solve service installs one on
+  // every job — so it keeps kExact on the calling thread; a fired token
+  // degrades to greedy-LPT per partition in the width search, and below
+  // for explicit widths.
   InnerSolver solver = request.solver;
-  if (anytime && solver == InnerSolver::kExact) solver = InnerSolver::kPortfolio;
+  if (request.deadline.finite() && solver == InnerSolver::kExact) {
+    solver = InnerSolver::kPortfolio;
+  }
 
   DesignResult result;
   if (request.bus_widths.empty()) {
@@ -224,6 +228,12 @@ DesignResult design_architecture(const Soc& soc, const DesignRequest& request) {
         options.cancel = request.cancel;
         options.deadline = request.deadline;
         solved = solve_exact(problem, options);
+        // Same floor as optimize_widths: an interrupted exact solve that
+        // found nothing answers with greedy-LPT instead of "infeasible".
+        if (request.cancel != nullptr && !solved.feasible &&
+            solved.stop != StopReason::kNone) {
+          solved = greedy_floor(problem, std::move(solved));
+        }
         break;
       }
       case InnerSolver::kIlp: {

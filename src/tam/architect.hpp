@@ -53,6 +53,8 @@ struct DesignRequest {
   /// solver's determinism guarantee).
   int threads = 1;
   /// Optional cooperative cancellation observed by every long-running stage.
+  /// A token alone does not reroute kExact (only a finite deadline does); a
+  /// fired token degrades an empty-handed exact solve to greedy-LPT.
   const CancellationToken* cancel = nullptr;
   /// Optional wall-clock deadline (anytime mode, --time-limit-ms). With a
   /// finite deadline the kExact solver is routed through the portfolio so a

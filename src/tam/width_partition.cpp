@@ -190,12 +190,7 @@ ArchitectureResult optimize_widths(const Soc& soc, const TestTimeTable& table,
       if (anytime && !result.feasible &&
           result.stop != StopReason::kNone &&
           options.solver != InnerSolver::kGreedy) {
-        TamSolveResult fallback = solve_greedy_lpt(problem);
-        if (fallback.feasible) {
-          fallback.stop = result.stop;
-          fallback.proved_optimal = false;
-          result = std::move(fallback);
-        }
+        result = greedy_floor(problem, std::move(result));
       }
       if (result.feasible &&
           (!best.feasible || result.assignment.makespan < best.assignment.makespan)) {

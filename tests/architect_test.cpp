@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "common/parallel.hpp"
+#include "common/rng.hpp"
+#include "obs/obs.hpp"
 #include "soc/builtin.hpp"
+#include "soc/generator.hpp"
 #include "tam/architect.hpp"
 
 namespace soctest {
@@ -138,6 +145,59 @@ TEST(Architect, IlpSolverMatchesExact) {
   const auto ilp = design_architecture(soc, ilp_request);
   ASSERT_TRUE(exact.feasible && ilp.feasible);
   EXPECT_EQ(exact.assignment.makespan, ilp.assignment.makespan);
+}
+
+long long counter_value(const std::string& name) {
+  for (const auto& c : obs::counter_values()) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+// An unfired cancellation token is not a budget: it must leave the exact
+// width search on the calling thread (no portfolio race) and change nothing
+// about the answer or the search that found it. The solve service hands
+// every job such a token, so this pins served answers to the plain solve.
+TEST(Architect, UnfiredCancelTokenLeavesExactSolveUnchanged) {
+  obs::TraceSession session(nullptr);  // counters only
+  const long long races_before = counter_value("tam.portfolio.races");
+  for (int n = 16; n <= 24; ++n) {
+    Rng rng(static_cast<std::uint64_t>(n) * 7919);
+    SocGeneratorOptions gen;
+    gen.num_cores = n;
+    const Soc soc = generate_soc(gen, rng);
+    double max_power = 0.0;
+    for (std::size_t i = 0; i < soc.num_cores(); ++i) {
+      max_power = std::max(max_power, soc.core(i).test_power_mw);
+    }
+    for (int buses : {2, 3}) {
+      for (int width : {24, 32, 40}) {
+        for (double p_max : {-1.0, 1.6 * max_power}) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " B=" +
+                       std::to_string(buses) + " W=" + std::to_string(width) +
+                       " p_max=" + std::to_string(p_max));
+          DesignRequest request;
+          request.num_buses = buses;
+          request.total_width = width;
+          request.p_max_mw = p_max;
+          request.solver = InnerSolver::kExact;
+          const DesignResult plain = design_architecture(soc, request);
+          CancellationToken cancel;
+          request.cancel = &cancel;
+          const DesignResult tokened = design_architecture(soc, request);
+          EXPECT_EQ(tokened.feasible, plain.feasible);
+          EXPECT_EQ(tokened.bus_widths, plain.bus_widths);
+          EXPECT_EQ(tokened.assignment.core_to_bus,
+                    plain.assignment.core_to_bus);
+          EXPECT_EQ(tokened.assignment.makespan, plain.assignment.makespan);
+          EXPECT_EQ(tokened.certificate.status, plain.certificate.status);
+          EXPECT_EQ(tokened.search_mode, plain.search_mode);
+          EXPECT_EQ(tokened.total_nodes, plain.total_nodes);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(counter_value("tam.portfolio.races"), races_before);
 }
 
 TEST(Architect, DescribeDesignMentionsKeyFacts) {

@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "layout/router.hpp"
 #include "layout/sa_placer.hpp"
+#include "obs/obs.hpp"
 #include "sched/power_sched.hpp"
 #include "soc/builtin.hpp"
 #include "tam/timing.hpp"
@@ -190,6 +191,44 @@ TEST(DeadlineArchitect, CancelledFixedWidthSolveReportsStop) {
   const DesignResult design = design_architecture(soc, request);
   ASSERT_TRUE(design.feasible);  // SA's greedy seed survives
   EXPECT_EQ(design.stop, StopReason::kCancelled);
+}
+
+// A cancellation token alone keeps kExact on the calling thread (it is not
+// a budget); once fired, an exact solve that found nothing answers with the
+// greedy-LPT floor instead of "infeasible".
+TEST(DeadlineArchitect, CancelledFixedWidthExactFallsBackToGreedy) {
+  const Soc soc = builtin_soc1();
+  CancellationToken cancel;
+  cancel.cancel();
+  DesignRequest request;
+  request.bus_widths = {16, 16};
+  request.solver = InnerSolver::kExact;
+  request.cancel = &cancel;
+  const DesignResult design = design_architecture(soc, request);
+  ASSERT_TRUE(design.feasible);
+  EXPECT_EQ(design.stop, StopReason::kCancelled);
+  EXPECT_FALSE(design.proved_optimal);
+  EXPECT_NE(design.certificate.status, SolveStatus::kOptimal);
+}
+
+TEST(DeadlineArchitect, FiniteDeadlineStillRacesThePortfolio) {
+  obs::TraceSession session(nullptr);  // counters only
+  auto races = [] {
+    for (const auto& c : obs::counter_values()) {
+      if (c.name == "tam.portfolio.races") return c.value;
+    }
+    return 0LL;
+  };
+  const long long before = races();
+  const Soc soc = builtin_soc1();
+  DesignRequest request;
+  request.bus_widths = {16, 16};
+  request.solver = InnerSolver::kExact;
+  request.deadline = Deadline::after_ms(600000);  // never binds
+  const DesignResult design = design_architecture(soc, request);
+  ASSERT_TRUE(design.feasible);
+  EXPECT_TRUE(design.proved_optimal);
+  EXPECT_EQ(races(), before + 1);
 }
 
 // ------------------------------------------------------------------ layout --

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -415,6 +416,37 @@ TEST(ServiceServer, QueueFullRejectsWithRetryAfter) {
   EXPECT_GE(rejected.load(), 1);
   EXPECT_EQ(service.stats().rejected, rejected.load());
   EXPECT_EQ(service.stats().accepted + service.stats().rejected, 3);
+}
+
+TEST(ServiceServer, QueuedJobReportsItsMeasuredWait) {
+  ServiceConfig config;
+  config.workers = 1;
+  SolveService service(config);
+
+  // One worker: the fast request waits in the queue behind the slow one,
+  // and its response must say so instead of reporting queue_ms 0.
+  std::mutex mu;
+  std::map<std::string, std::string> responses;
+  auto done = [&](std::string response) {
+    const auto doc = parse_json(response);
+    ASSERT_TRUE(doc.has_value()) << response;
+    std::lock_guard<std::mutex> lock(mu);
+    responses[doc->string_or("id", "")] = std::move(response);
+  };
+  service.submit(req("\"id\":\"slow\",\"soc\":\"soc3\",\"buses\":3,"
+                     "\"width\":64,\"no_cache\":true"),
+                 done);
+  service.submit(req("\"id\":\"fast\",\"soc\":\"soc2\",\"widths\":[8,8],"
+                     "\"solver\":\"greedy\",\"no_cache\":true"),
+                 done);
+  service.drain();
+
+  ASSERT_EQ(responses.size(), 2u);
+  const auto fast = parse_json(responses["fast"]);
+  ASSERT_TRUE(fast.has_value());
+  EXPECT_TRUE(fast->find("ok")->boolean) << responses["fast"];
+  ASSERT_NE(fast->find("queue_ms"), nullptr) << responses["fast"];
+  EXPECT_GT(fast->number_or("queue_ms", 0.0), 0.0) << responses["fast"];
 }
 
 TEST(ServiceServer, DrainUnderLoadLeavesNoLostJobs) {

@@ -36,6 +36,7 @@
 #include "obs/obs.hpp"
 #include "pack/skyline.hpp"
 #include "report/json.hpp"
+#include "service/server.hpp"
 #include "soc/builtin.hpp"
 #include "soc/generator.hpp"
 #include "tam/architect.hpp"
@@ -725,6 +726,23 @@ std::vector<GateCase> gate_suite() {
                      request.total_width = 24;
                      request.solver = InnerSolver::kExact;
                      design_architecture(builtin_soc1(), request);
+                   }});
+  // Exact width searches served through the solve service, which installs
+  // a cancellation token on every job: the token must not reroute exact
+  // solves through the portfolio race (races stays 0, nodes match the
+  // plain serial search).
+  suite.push_back({"serve_exact_width_search",
+                   {"tam.portfolio.races", "tam.exact.nodes"},
+                   [] {
+                     ServiceConfig config;
+                     config.serial = true;
+                     SolveService service(config);
+                     for (const char* line : {
+                              R"({"schema":"soctest-req-v1","id":"s1","soc":"soc1","buses":2,"width":24,"solver":"exact"})",
+                              R"({"schema":"soctest-req-v1","id":"s2","soc":"soc2","buses":3,"width":32,"solver":"exact"})",
+                              R"({"schema":"soctest-req-v1","id":"s3","soc":"soc3","buses":2,"width":40,"solver":"exact"})"}) {
+                       service.submit(line, [](std::string) {});
+                     }
                    }});
   return suite;
 }
