@@ -13,6 +13,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DSOCTEST_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j \
   --target parallel_test exact_solver_test heuristics_test architect_test \
+           test_time_table_test \
            branch_and_bound_test deadline_test fault_injection_test \
            pack_test frontdoor_test transport_test retry_test chaos_test \
            protocol_fuzz_test net_test soctest_perf_tool soctest_serve_tool \

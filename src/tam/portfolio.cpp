@@ -120,12 +120,15 @@ PortfolioResult solve_portfolio(const TamProblem& problem,
   };
 
   // The reason the race (if anything) was cut short, for the certificate.
+  // The SA racer's own cancellation (fired above once the exact racer
+  // proved its answer) is the race working as designed, not a stop.
   const StopReason race_stop =
-      exact.stop != StopReason::kNone ? exact.stop : sa.stop;
+      exact.stop != StopReason::kNone
+          ? exact.stop
+          : (out.sa_cancelled ? StopReason::kNone : sa.stop);
 
-  // Stage 3: deterministic selection. A completed exact solve dominates —
-  // its warm start was an upper bound on the optimum, so "infeasible with
-  // proof" really means no assignment beats the heuristics either.
+  // Stage 3: deterministic selection. A completed exact solve dominates:
+  // it searched everything at or below upper_bound.
   if (exact.proved_optimal && exact.feasible) {
     out.best = exact;
     out.winner = "exact";
@@ -134,10 +137,23 @@ PortfolioResult solve_portfolio(const TamProblem& problem,
     note_winner();
     return out;
   }
-  if (exact.proved_optimal && !greedy.feasible && !sa.feasible) {
-    out.best = exact;  // proven infeasible
-    out.winner = "exact";
-    out.certificate = certify_infeasible(/*proven=*/true, StopReason::kNone);
+  if (exact.proved_optimal) {
+    // Nothing is at or below upper_bound. When greedy set that bound it is
+    // optimal; otherwise the proof is the answer, exactly as solve_exact
+    // reports it for a warm-start bound: infeasible, proven — nothing beats
+    // the caller's initial_upper_bound (or no assignment exists at all).
+    if (greedy.feasible && greedy.assignment.makespan == upper_bound) {
+      out.best = greedy;
+      out.best.nodes = exact.nodes;
+      out.best.proved_optimal = true;
+      out.winner = "greedy";
+      out.certificate = certify_optimal(
+          static_cast<long long>(greedy.assignment.makespan));
+    } else {
+      out.best = exact;
+      out.winner = "exact";
+      out.certificate = certify_infeasible(/*proven=*/true, StopReason::kNone);
+    }
     note_winner();
     return out;
   }

@@ -19,8 +19,10 @@ struct PortfolioOptions {
   /// Threads handed to the exact solver's own root-splitting search
   /// (1 = serial exact inside the race).
   int exact_threads = 1;
-  /// Optional externally known upper bound, combined with the greedy
-  /// incumbent (the tighter wins) before seeding the exact solver.
+  /// Optional externally known upper bound (inclusive), combined with the
+  /// greedy incumbent (the tighter wins) before seeding the exact solver.
+  /// As with solve_exact, a completed search that finds nothing at or below
+  /// it returns infeasible with proved_optimal set.
   Cycles initial_upper_bound = -1;
   BoundMode bound_mode = BoundMode::kFull;
   SaSolverOptions sa;
@@ -45,9 +47,11 @@ struct PortfolioResult {
   /// True when the SA racer was cancelled because the exact solver proved
   /// optimality first.
   bool sa_cancelled = false;
-  /// Quality certificate for `best`: optimal when the exact racer completed,
-  /// feasible_bounded with a gap against the problem's combinatorial lower
-  /// bound when the solve was interrupted, error when every racer faulted.
+  /// Quality certificate for `best`: optimal when the exact racer completed
+  /// with an assignment, proven infeasible when it completed without one
+  /// (nothing at or below initial_upper_bound), feasible_bounded with a gap
+  /// against the problem's combinatorial lower bound when the solve was
+  /// interrupted, error when every racer faulted.
   SolveCertificate certificate;
 };
 

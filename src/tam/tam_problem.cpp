@@ -139,18 +139,26 @@ Cycles TamProblem::lower_bound() const {
   return std::max(max_min, (sum_min + b - 1) / b);
 }
 
-TamProblem make_tam_problem(const Soc& soc, const TestTimeTable& table,
-                            std::vector<int> bus_widths,
-                            const LayoutConstraints* layout,
-                            long long wire_budget, double p_max_mw,
-                            PowerConstraintMode power_mode,
-                            Cycles bus_depth_limit) {
-  if (bus_widths.empty()) throw std::invalid_argument("no bus widths given");
+namespace {
+
+void check_widths_in_table(const TestTimeTable& table,
+                           const std::vector<int>& bus_widths) {
   for (int w : bus_widths) {
     if (w < 1 || w > table.max_width()) {
       throw std::invalid_argument("bus width outside test time table range");
     }
   }
+}
+
+}  // namespace
+
+TamProblem make_tam_problem_frame(const Soc& soc, const TestTimeTable& table,
+                                  std::size_t num_buses,
+                                  const LayoutConstraints* layout,
+                                  long long wire_budget, double p_max_mw,
+                                  PowerConstraintMode power_mode,
+                                  Cycles bus_depth_limit) {
+  if (num_buses == 0) throw std::invalid_argument("no bus widths given");
   if (table.num_cores() != soc.num_cores()) {
     throw std::invalid_argument("test time table core count mismatch");
   }
@@ -158,29 +166,22 @@ TamProblem make_tam_problem(const Soc& soc, const TestTimeTable& table,
     if (layout->num_cores() != soc.num_cores()) {
       throw std::invalid_argument("layout constraint core count mismatch");
     }
-    if (layout->num_buses() != bus_widths.size()) {
+    if (layout->num_buses() != num_buses) {
       throw std::invalid_argument("layout constraint bus count mismatch");
     }
   }
 
   TamProblem problem;
-  problem.bus_widths = std::move(bus_widths);
+  problem.bus_widths.assign(num_buses, 1);
   const std::size_t n = soc.num_cores();
-  const std::size_t b = problem.bus_widths.size();
+  const std::size_t b = num_buses;
   problem.time.assign(n, std::vector<Cycles>(b, 0));
   problem.allowed.assign(n, std::vector<char>(b, 1));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < b; ++j) {
-      problem.time[i][j] = table.time(i, problem.bus_widths[j]);
-      if (layout != nullptr) {
-        problem.allowed[i][j] = layout->allowed(i, j) ? 1 : 0;
-      }
-    }
-  }
   if (layout != nullptr) {
     problem.wire_cost.assign(n, std::vector<long long>(b, 0));
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < b; ++j) {
+        problem.allowed[i][j] = layout->allowed(i, j) ? 1 : 0;
         const int d = layout->distance(i, j);
         problem.wire_cost[i][j] = d < 0 ? 0 : d;  // forbidden pairs never chosen
       }
@@ -217,26 +218,57 @@ TamProblem make_tam_problem(const Soc& soc, const TestTimeTable& table,
       }
       break;
   }
-
   problem.bus_depth_limit = bus_depth_limit;
-  if (bus_depth_limit >= 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      Cycles best = -1;
-      for (std::size_t j = 0; j < b; ++j) {
-        if (problem.allowed[i][j] && (best < 0 || problem.time[i][j] < best)) {
-          best = problem.time[i][j];
-        }
-      }
-      if (best > bus_depth_limit) {
-        throw std::runtime_error(
-            "core " + soc.core(i).name +
-            " does not fit the ATE depth limit on any allowed bus");
-      }
-    }
-  }
 
   const std::string err = problem.validate();
   if (!err.empty()) throw std::logic_error("built invalid TamProblem: " + err);
+  return problem;
+}
+
+void set_tam_problem_widths(TamProblem& problem, const Soc& soc,
+                            const TestTimeTable& table,
+                            const std::vector<int>& bus_widths) {
+  if (bus_widths.size() != problem.num_buses()) {
+    throw std::invalid_argument("bus width count differs from the frame");
+  }
+  check_widths_in_table(table, bus_widths);
+  problem.bus_widths = bus_widths;
+  const std::size_t n = problem.num_cores();
+  const std::size_t b = problem.num_buses();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < b; ++j) {
+      problem.time[i][j] = table.time(i, bus_widths[j]);
+    }
+  }
+  if (problem.bus_depth_limit < 0) return;
+  for (std::size_t i = 0; i < n; ++i) {
+    Cycles best = -1;
+    for (std::size_t j = 0; j < b; ++j) {
+      if (problem.allowed[i][j] && (best < 0 || problem.time[i][j] < best)) {
+        best = problem.time[i][j];
+      }
+    }
+    if (best > problem.bus_depth_limit) {
+      throw std::runtime_error(
+          "core " + soc.core(i).name +
+          " does not fit the ATE depth limit on any allowed bus");
+    }
+  }
+}
+
+TamProblem make_tam_problem(const Soc& soc, const TestTimeTable& table,
+                            std::vector<int> bus_widths,
+                            const LayoutConstraints* layout,
+                            long long wire_budget, double p_max_mw,
+                            PowerConstraintMode power_mode,
+                            Cycles bus_depth_limit) {
+  if (bus_widths.empty()) throw std::invalid_argument("no bus widths given");
+  check_widths_in_table(table, bus_widths);
+  TamProblem problem =
+      make_tam_problem_frame(soc, table, bus_widths.size(), layout,
+                             wire_budget, p_max_mw, power_mode,
+                             bus_depth_limit);
+  set_tam_problem_widths(problem, soc, table, bus_widths);
   return problem;
 }
 

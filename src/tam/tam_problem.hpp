@@ -106,4 +106,25 @@ TamProblem make_tam_problem(
     PowerConstraintMode power_mode = PowerConstraintMode::kPairwiseSerialization,
     Cycles bus_depth_limit = -1);
 
+/// The width-invariant part of make_tam_problem, for searches that solve
+/// many width vectors of one SOC under one constraint set: shapes, layout
+/// `allowed`/`wire_cost`, power co-groups or bus-max powers, the depth
+/// limit, and the trivial-infeasibility diagnostics (std::runtime_error).
+/// `bus_widths` and `time` are placeholders (all 1 / all 0) until
+/// set_tam_problem_widths fills them.
+TamProblem make_tam_problem_frame(
+    const Soc& soc, const TestTimeTable& table, std::size_t num_buses,
+    const LayoutConstraints* layout = nullptr, long long wire_budget = -1,
+    double p_max_mw = -1.0,
+    PowerConstraintMode power_mode = PowerConstraintMode::kPairwiseSerialization,
+    Cycles bus_depth_limit = -1);
+
+/// Rewrites `problem.bus_widths` and `problem.time` in place for
+/// `bus_widths` (one per bus of the frame). Throws std::invalid_argument
+/// when a width exceeds the table, and std::runtime_error when some core
+/// fits the ATE depth limit on no allowed bus at these widths.
+void set_tam_problem_widths(TamProblem& problem, const Soc& soc,
+                            const TestTimeTable& table,
+                            const std::vector<int>& bus_widths);
+
 }  // namespace soctest

@@ -1,9 +1,13 @@
 #include "tam/timing.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
+
+#include "obs/obs.hpp"
 
 namespace soctest {
 
@@ -14,14 +18,62 @@ TestTimeTableMemo& test_time_table_memo() {
   return memo;
 }
 
+namespace {
+
+/// The widest memo entry per (heuristic, SOC fingerprint): the prefix
+/// source a miss at another width copies rows from. Holds weak references
+/// to the memo's own entries, so it never keeps a table alive on its own
+/// (a cleared memo expires them) and adds no second copy of any rows.
+class WidestTables {
+ public:
+  std::shared_ptr<const TestTimeTable> find(const std::string& soc_key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = widest_.find(soc_key);
+    return it == widest_.end() ? nullptr : it->second.lock();
+  }
+
+  void offer(const std::string& soc_key,
+             const std::shared_ptr<const TestTimeTable>& table) {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::weak_ptr<const TestTimeTable>& slot = widest_[soc_key];
+    const auto current = slot.lock();
+    if (!current || current->max_width() < table->max_width()) slot = table;
+  }
+
+ private:
+  std::mutex mu_;
+  std::unordered_map<std::string, std::weak_ptr<const TestTimeTable>> widest_;
+};
+
+WidestTables& widest_tables() {
+  static WidestTables index;
+  return index;
+}
+
+}  // namespace
+
 const TestTimeTable& cached_test_time_table(const Soc& soc, int max_width,
                                             PartitionHeuristic heuristic) {
-  std::ostringstream key;
-  key << max_width << '|' << static_cast<int>(heuristic) << '|'
-      << soc_table_fingerprint(soc);
-  return *test_time_table_memo().get_or_create(key.str(), [&] {
-    return TestTimeTable(soc, max_width, heuristic);
-  });
+  const std::string soc_key = std::to_string(static_cast<int>(heuristic)) +
+                              '|' + soc_table_fingerprint(soc);
+  const std::string key = std::to_string(max_width) + '|' + soc_key;
+  TestTimeTableMemo& memo = test_time_table_memo();
+  if (auto hit = memo.get(key)) return *hit;
+  // Miss: rows 1..w of a table never depend on its max width, so the
+  // widest cached table of this SOC supplies every row it already has.
+  const auto source = widest_tables().find(soc_key);
+  const int reused = source ? std::min(source->max_width(), max_width) : 0;
+  auto built = std::make_shared<const TestTimeTable>(
+      source ? TestTimeTable(soc, max_width, heuristic, *source)
+             : TestTimeTable(soc, max_width, heuristic));
+  if (obs::enabled()) {
+    obs::counter("wrapper.table.widths_built")
+        .add(static_cast<long long>(max_width - reused) *
+             static_cast<long long>(soc.num_cores()));
+  }
+  const auto stored = memo.put(key, std::move(built));
+  widest_tables().offer(soc_key, stored);
+  return *stored;
 }
 
 std::vector<double> bus_clock_periods_ns(const BusPlan& plan,

@@ -30,7 +30,12 @@ TestTimeTableMemo& test_time_table_memo();
 
 /// Memoized table lookup. Keyed by a fingerprint of the SOC's test
 /// structure (not just its name, so regenerated/mutated SOCs never alias),
-/// plus max_width and the partition heuristic. Thread-safe.
+/// plus max_width and the partition heuristic. Thread-safe. A hit is one
+/// memo lookup. A miss copies the rows it can from the widest table of the
+/// same fingerprint and heuristic already in the memo (a prefix of a wider
+/// one, or all of a narrower one) and runs wrapper design only for the
+/// widths beyond it; `wrapper.table.widths_built` counts the core-width
+/// cells designed.
 const TestTimeTable& cached_test_time_table(
     const Soc& soc, int max_width,
     PartitionHeuristic heuristic = PartitionHeuristic::kBestFitDecreasing);

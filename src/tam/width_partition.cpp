@@ -1,6 +1,9 @@
 #include "tam/width_partition.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "tam/heuristics.hpp"
@@ -25,6 +28,8 @@ const char* inner_solver_name(InnerSolver solver) {
 
 namespace {
 
+constexpr Cycles kInfCycles = std::numeric_limits<Cycles>::max();
+
 void enumerate(int remaining, int parts, int max_part, std::vector<int>& prefix,
                std::vector<std::vector<int>>& out) {
   if (parts == 1) {
@@ -45,14 +50,17 @@ void enumerate(int remaining, int parts, int max_part, std::vector<int>& prefix,
   }
 }
 
+/// Solves one candidate. `upper_bound` (inclusive; < 0 = none) is honored
+/// by the exact and portfolio solvers only: they then report "nothing at or
+/// below the bound" as a proven-infeasible result.
 TamSolveResult run_inner(const TamProblem& problem,
                          const WidthPartitionOptions& options,
-                         Cycles incumbent) {
+                         Cycles upper_bound) {
   switch (options.solver) {
     case InnerSolver::kExact: {
       ExactSolverOptions exact;
       exact.max_nodes = options.max_nodes_per_solve;
-      exact.initial_upper_bound = incumbent;
+      exact.initial_upper_bound = upper_bound;
       exact.threads = options.threads;
       exact.cancel = options.cancel;
       exact.deadline = options.deadline;
@@ -75,7 +83,7 @@ TamSolveResult run_inner(const TamProblem& problem,
     case InnerSolver::kPortfolio: {
       PortfolioOptions portfolio;
       portfolio.max_nodes = options.max_nodes_per_solve;
-      portfolio.initial_upper_bound = incumbent;
+      portfolio.initial_upper_bound = upper_bound;
       portfolio.threads = options.threads;
       portfolio.cancel = options.cancel;
       portfolio.deadline = options.deadline;
@@ -140,70 +148,172 @@ ArchitectureResult optimize_widths(const Soc& soc, const TestTimeTable& table,
     options.progress(snapshot);
   };
   const bool permute = options.permute_widths || layout != nullptr;
-  // Between-partition stop polling: the per-node/iteration checks live in
-  // the inner solvers; this one stops the enumeration itself.
+  // Stop polling between candidates; the per-node/iteration checks live in
+  // the inner solvers.
   StopCheck stop_check(options.deadline, options.cancel);
   const bool anytime =
       options.deadline.finite() || options.cancel != nullptr;
   bool stopped = false;
+  const auto note_stop = [&] {
+    best.proved_optimal = false;
+    if (best.stop == StopReason::kNone) best.stop = stop_check.reason();
+    stopped = true;
+  };
 
-  for (const auto& partition : width_partitions(total_width, num_buses)) {
-    if (stopped) break;
-    std::vector<int> widths = partition;
-    // next_permutation over the non-increasing vector enumerates each
-    // distinct arrangement exactly once starting from the sorted-ascending
-    // order.
+  // Enumeration order: partitions from the most lopsided split, each as its
+  // sorted-ascending vector — and, when buses are distinguishable, every
+  // distinct permutation of it (next_permutation from the sorted order).
+  // Candidate k's widths are widths_of[k * B, (k + 1) * B).
+  const auto b = static_cast<std::size_t>(num_buses);
+  std::vector<int> widths_of;
+  for (std::vector<int> widths : width_partitions(total_width, num_buses)) {
     std::sort(widths.begin(), widths.end());
     do {
-      if (stop_check.should_stop()) {
-        best.proved_optimal = false;
-        if (best.stop == StopReason::kNone) best.stop = stop_check.reason();
-        stopped = true;
-        break;
-      }
-      ++best.partitions_tried;
-      TamProblem problem;
-      try {
-        problem = make_tam_problem(soc, table, widths, layout, wire_budget,
-                                   p_max_mw, options.power_mode,
-                                   options.bus_depth_limit);
-      } catch (const std::runtime_error&) {
-        // This width vector cannot host some core under the ATE depth limit
-        // (narrow buses inflate test times); other partitions may still fit.
-        if (options.bus_depth_limit < 0) throw;
-        continue;
-      }
-      // Skip width vectors that provably cannot beat the incumbent.
-      if (best.feasible && problem.lower_bound() >= best.assignment.makespan) {
-        continue;
-      }
-      const Cycles incumbent = best.feasible ? best.assignment.makespan : -1;
-      TamSolveResult result = run_inner(problem, options, incumbent);
-      best.total_nodes += result.nodes;
-      if (!result.proved_optimal) best.proved_optimal = false;
-      if (result.stop != StopReason::kNone && best.stop == StopReason::kNone) {
-        best.stop = result.stop;
-      }
-      // Graceful degradation: an interrupted inner solve that found nothing
-      // must not silently skip the partition — greedy-LPT is cheap enough to
-      // always supply a floor incumbent.
-      if (anytime && !result.feasible &&
-          result.stop != StopReason::kNone &&
-          options.solver != InnerSolver::kGreedy) {
-        result = greedy_floor(problem, std::move(result));
-      }
-      if (result.feasible &&
-          (!best.feasible || result.assignment.makespan < best.assignment.makespan)) {
-        best.feasible = true;
-        best.bus_widths = widths;
-        best.assignment = result.assignment;
-        best.search_mode = result.search_mode;
-        report_progress();
-      }
-      if (!permute) break;
+      widths_of.insert(widths_of.end(), widths.begin(), widths.end());
     } while (permute && std::next_permutation(widths.begin(), widths.end()));
   }
+  const auto widths_at = [&](std::size_t k) {
+    const auto first = widths_of.begin() + static_cast<std::ptrdiff_t>(k * b);
+    return std::vector<int>(first, first + static_cast<std::ptrdiff_t>(b));
+  };
+
+  // Scoring pass. Everything that does not depend on the width vector
+  // (validation, diagnostics, power groups, layout rows) is built once into
+  // `problem`; each candidate rewrites only its widths and times, then gets
+  // its lower bound and a greedy-LPT seed.
+  struct Candidate {
+    std::size_t index = 0;  ///< enumeration index: the tie-break
+    Cycles lower_bound = 0;
+    TamSolveResult seed;
+    /// Visit key: the seed makespan when the seed passes check_assignment.
+    /// A seed that breaks a constraint measures no achievable makespan
+    /// (and runs optimistic), so it sorts after every valid one.
+    Cycles key() const {
+      return seed.feasible ? seed.assignment.makespan : kInfCycles;
+    }
+  };
+  std::vector<Candidate> scored;
+  std::optional<TamProblem> problem;
+  bool frame_infeasible = false;
+  const std::size_t num_candidates = widths_of.size() / b;
+  for (std::size_t k = 0; k < num_candidates; ++k) {
+    if (stop_check.should_stop()) {
+      note_stop();
+      break;
+    }
+    ++best.partitions_tried;
+    if (frame_infeasible) continue;
+    try {
+      if (!problem) {
+        problem = make_tam_problem_frame(soc, table, b, layout, wire_budget,
+                                         p_max_mw, options.power_mode,
+                                         options.bus_depth_limit);
+      }
+      set_tam_problem_widths(*problem, soc, table, widths_at(k));
+    } catch (const std::runtime_error&) {
+      // Some core fits no bus under the ATE depth limit at these widths
+      // (narrow buses inflate test times); other candidates may still fit.
+      // Without a depth limit the constraints are infeasible outright.
+      if (options.bus_depth_limit < 0) throw;
+      if (!problem) frame_infeasible = true;
+      continue;
+    }
+    Candidate candidate;
+    candidate.index = k;
+    candidate.lower_bound = problem->lower_bound();
+    candidate.seed = solve_greedy_lpt(*problem);
+    scored.push_back(std::move(candidate));
+  }
+
+  // Best-first solve pass over (seed key, enumeration index). The
+  // incumbent (T, idx) is compared lexicographically, so the search returns
+  // the lowest-index width vector reaching the optimum — the answer of a
+  // plain enumeration-order scan. A valid seed is an achievable makespan,
+  // so for the solvers that honor a bound it stands in as the incumbent
+  // until the first solve is accepted.
+  std::vector<std::size_t> order(scored.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return scored[x].key() < scored[y].key();
+                   });
+  const Candidate* best_seed =
+      order.empty() || !scored[order.front()].seed.feasible
+          ? nullptr
+          : &scored[order.front()];
+  Cycles incumbent = kInfCycles;
+  std::size_t incumbent_index = num_candidates;
+  if (best_seed != nullptr && (options.solver == InnerSolver::kExact ||
+                               options.solver == InnerSolver::kPortfolio)) {
+    incumbent = best_seed->seed.assignment.makespan;
+    incumbent_index = best_seed->index;
+  }
+  for (std::size_t pos = 0; pos < order.size() && !stopped; ++pos) {
+    const Candidate& candidate = scored[order[pos]];
+    if (candidate.lower_bound > incumbent ||
+        (candidate.lower_bound == incumbent &&
+         candidate.index > incumbent_index)) {
+      continue;
+    }
+    if (stop_check.should_stop()) {
+      note_stop();
+      break;
+    }
+    const std::vector<int> widths = widths_at(candidate.index);
+    TamSolveResult result;
+    if (options.solver == InnerSolver::kGreedy) {
+      result = candidate.seed;
+    } else {
+      set_tam_problem_widths(*problem, soc, table, widths);
+      // Before the incumbent's index a tie still wins, so search up to T;
+      // after it only a strict improvement can.
+      Cycles upper_bound = -1;
+      if (incumbent != kInfCycles) {
+        upper_bound = candidate.index <= incumbent_index ? incumbent
+                                                         : incumbent - 1;
+      }
+      result = run_inner(*problem, options, upper_bound);
+    }
+    best.total_nodes += result.nodes;
+    if (!result.proved_optimal) best.proved_optimal = false;
+    if (result.stop != StopReason::kNone && best.stop == StopReason::kNone) {
+      best.stop = result.stop;
+    }
+    // Graceful degradation: an interrupted inner solve that found nothing
+    // must not silently skip the candidate — greedy-LPT is cheap enough to
+    // always supply a floor incumbent.
+    if (anytime && !result.feasible && result.stop != StopReason::kNone &&
+        options.solver != InnerSolver::kGreedy) {
+      result = greedy_floor(*problem, std::move(result));
+    }
+    if (!result.feasible) continue;
+    const Cycles makespan = result.assignment.makespan;
+    if (makespan > incumbent ||
+        (makespan == incumbent && candidate.index > incumbent_index)) {
+      continue;
+    }
+    // Partials stream strict improvements only, never a tie moved to a
+    // lower index.
+    const bool improved = !best.feasible || makespan < best.assignment.makespan;
+    best.feasible = true;
+    best.bus_widths = widths;
+    best.assignment = std::move(result.assignment);
+    best.search_mode = result.search_mode;
+    incumbent = makespan;
+    incumbent_index = candidate.index;
+    if (improved) report_progress();
+  }
   if (!best.feasible) best.proved_optimal = false;
+
+  // An interrupted search that accepted nothing still has every scored
+  // candidate's seed: the best valid one is its answer.
+  if (!best.feasible && best.stop != StopReason::kNone &&
+      best_seed != nullptr) {
+    best.feasible = true;
+    best.bus_widths = widths_at(best_seed->index);
+    best.assignment = best_seed->seed.assignment;
+    report_progress();
+  }
 
   // Anytime floor: even a budget that expired before the first partition
   // still returns *an* architecture when one exists. Greedy-LPT on the

@@ -21,8 +21,16 @@ class TestTimeTable {
                 PartitionHeuristic heuristic =
                     PartitionHeuristic::kBestFitDecreasing);
 
+  /// Builds the same table as TestTimeTable(soc, max_width, heuristic) from
+  /// `prefix`, a table of the same SOC test structure and heuristic (equal
+  /// soc_table_fingerprint): raw rows up to prefix.max_width() are copied,
+  /// so wrapper design runs only for the widths beyond it. Rows 1..w never
+  /// depend on the table's max width, which makes the copy exact.
+  TestTimeTable(const Soc& soc, int max_width, PartitionHeuristic heuristic,
+                const TestTimeTable& prefix);
+
   int max_width() const { return max_width_; }
-  std::size_t num_cores() const { return times_.size(); }
+  std::size_t num_cores() const { return num_cores_; }
 
   /// Effective (monotone) test time of core `i` at width `w` (1..max_width).
   Cycles time(std::size_t core, int width) const;
@@ -43,10 +51,16 @@ class TestTimeTable {
   Cycles total_time(int width) const;
 
  private:
+  TestTimeTable(const Soc& soc, int max_width, PartitionHeuristic heuristic,
+                const TestTimeTable* prefix);
+  std::size_t cell(std::size_t core, int width) const;
+
   int max_width_;
-  std::vector<std::vector<Cycles>> raw_;       // [core][width-1]
-  std::vector<std::vector<Cycles>> times_;     // monotone envelope
-  std::vector<std::vector<int>> eff_width_;    // argmin width
+  std::size_t num_cores_;
+  // Core-major flat rows: core i, width w at [i * max_width + w - 1].
+  std::vector<Cycles> raw_;
+  std::vector<Cycles> times_;   // monotone envelope
+  std::vector<int> eff_width_;  // argmin width
 };
 
 /// Fingerprint of everything TestTimeTable construction reads from a SOC:

@@ -6,6 +6,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
+#include "runtime/deadline.hpp"
 #include "soc/builtin.hpp"
 #include "soc/generator.hpp"
 #include "tam/architect.hpp"
@@ -198,6 +199,43 @@ TEST(Architect, UnfiredCancelTokenLeavesExactSolveUnchanged) {
     }
   }
   EXPECT_EQ(counter_value("tam.portfolio.races"), races_before);
+}
+
+TEST(Architect, DeadlinePortfolioWidthSearchKeepsItsProof) {
+  // A finite deadline routes an exact width search through the portfolio.
+  // When the deadline never fires, that search is complete: every
+  // candidate whose exact racer proves "nothing at or below the bound"
+  // must keep the proof, so the answer and its certificate match the plain
+  // exact search and no stop reason leaks out of the race.
+  obs::TraceSession session(nullptr);  // counters only
+  const long long races_before = counter_value("tam.portfolio.races");
+  for (int n = 17; n <= 21; ++n) {
+    Rng rng(static_cast<std::uint64_t>(n) * 104729);
+    SocGeneratorOptions gen;
+    gen.num_cores = n;
+    const Soc soc = generate_soc(gen, rng);
+    for (int buses : {2, 3}) {
+      for (int width : {24, 32}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " B=" +
+                     std::to_string(buses) + " W=" + std::to_string(width));
+        DesignRequest request;
+        request.num_buses = buses;
+        request.total_width = width;
+        request.solver = InnerSolver::kExact;
+        const DesignResult plain = design_architecture(soc, request);
+        request.deadline = Deadline::after_ms(60000);
+        const DesignResult raced = design_architecture(soc, request);
+        ASSERT_EQ(plain.certificate.status, SolveStatus::kOptimal);
+        EXPECT_EQ(raced.certificate.status, SolveStatus::kOptimal)
+            << raced.certificate.to_string();
+        EXPECT_TRUE(raced.proved_optimal);
+        EXPECT_EQ(raced.stop, StopReason::kNone);
+        EXPECT_EQ(raced.assignment.makespan, plain.assignment.makespan);
+        EXPECT_EQ(raced.bus_widths, plain.bus_widths);
+      }
+    }
+  }
+  EXPECT_GT(counter_value("tam.portfolio.races"), races_before);
 }
 
 TEST(Architect, DescribeDesignMentionsKeyFacts) {

@@ -150,10 +150,12 @@ TEST(FrontDoorFaults, WorkerCrashRestartsAndRetriesWithoutLosingTheJob) {
   RunningDoor running(config);
 
   // A solve that reliably occupies its worker long enough to be killed
-  // mid-flight (deadline-stopped after ~2 s; no_cache keeps it a miss).
+  // mid-flight: an ILP width search over 4 buses runs into its 2 s
+  // deadline (the exact search finishes this point in ~0.3 s); no_cache
+  // keeps it a miss.
   const std::vector<std::string> lines = {
       req("\"id\":\"crash\",\"soc\":\"soc4\",\"buses\":4,\"width\":64,"
-          "\"time_limit_ms\":2000,\"no_cache\":true")};
+          "\"solver\":\"ilp\",\"time_limit_ms\":2000,\"no_cache\":true")};
 
   StatusOr<std::vector<std::string>> responses =
       io_error("client never ran");
@@ -265,9 +267,10 @@ TEST(FrontDoorFaults, HungWorkerIsDetectedKilledAndItsJobRetried) {
   config.heartbeat_timeout_ms = 600.0;
   RunningDoor running(config);
 
+  // Busy until its 2 s deadline, like the crash test's request.
   const std::vector<std::string> lines = {
       req("\"id\":\"hung\",\"soc\":\"soc4\",\"buses\":4,\"width\":64,"
-          "\"time_limit_ms\":2000,\"no_cache\":true")};
+          "\"solver\":\"ilp\",\"time_limit_ms\":2000,\"no_cache\":true")};
 
   StatusOr<std::vector<std::string>> responses =
       io_error("client never ran");

@@ -744,6 +744,44 @@ std::vector<GateCase> gate_suite() {
                        service.submit(line, [](std::string) {});
                      }
                    }});
+  // One point of a design-space sweep on a generated placed SOC: the
+  // best-first width search scores every candidate with greedy-LPT
+  // (tam.greedy.solves) and then solves the few the seeds leave open.
+  suite.push_back({"width_search_sweep",
+                   {"tam.exact.nodes", "tam.greedy.solves"},
+                   [] {
+                     Rng rng(20 * 7919);
+                     SocGeneratorOptions gen;
+                     gen.num_cores = 20;
+                     const Soc soc = generate_soc(gen, rng);
+                     double max_power = 0.0;
+                     for (std::size_t i = 0; i < soc.num_cores(); ++i) {
+                       max_power =
+                           std::max(max_power, soc.core(i).test_power_mw);
+                     }
+                     DesignRequest request;
+                     request.num_buses = 3;
+                     request.total_width = 40;
+                     request.p_max_mw = 1.6 * max_power;
+                     request.solver = InnerSolver::kExact;
+                     design_architecture(soc, request);
+                   }});
+  // The sweep's four max widths (B x W = 2x24, 2x40, 3x32, 3x40) on one SOC
+  // from an empty memo: misses grow from the widest cached table, so
+  // wrapper design runs for 39 widths per core instead of 23+39+30+38.
+  // Clears the process-wide memo, so it runs last.
+  suite.push_back({"wrapper_table_widths",
+                   {"wrapper.table.widths_built"},
+                   [] {
+                     test_time_table_memo().clear();
+                     Rng rng(20 * 7919);
+                     SocGeneratorOptions gen;
+                     gen.num_cores = 20;
+                     const Soc soc = generate_soc(gen, rng);
+                     for (int width : {23, 39, 30, 38}) {
+                       cached_test_time_table(soc, width);
+                     }
+                   }});
   return suite;
 }
 
