@@ -10,6 +10,9 @@
 #   and asserts every line gets a valid soctest-resp-v1 response, the cache
 #   hit share clears 40%, and the two response streams are byte-identical
 #   (the serial determinism contract).
+# Pass 1c (stdio, serial): replays the request line of the worked transcript
+#   in docs/service.md and diffs the streamed partials and final response
+#   against the documented lines, so the example cannot go stale.
 # Pass 2 (socket): starts a concurrent socket server, runs the same batch
 #   through `soctest --client --batch`, then SIGTERMs the server and asserts
 #   a clean drain (exit 0, every request answered).
@@ -75,6 +78,28 @@ if ! cmp -s "$workdir/resp1.jsonl" "$workdir/resp2.jsonl"; then
   exit 1
 fi
 echo "   identical"
+
+echo "== pass 1c: the documented streaming transcript still holds =="
+# docs/service.md: the first fenced block after "A worked transcript" is the
+# request line, the second is the expected output.
+awk -v req="$workdir/doc_req.jsonl" -v want="$workdir/doc_want.jsonl" '
+  /^A worked transcript/ { found = 1 }
+  found && /^```/ { if (++block == 4) exit; next }
+  found && block == 1 { print > req }
+  found && block == 3 { print > want }
+' "$root/docs/service.md"
+if [ ! -s "$workdir/doc_req.jsonl" ] || [ ! -s "$workdir/doc_want.jsonl" ]; then
+  echo "check_service: FAILED (no worked transcript found in docs/service.md)"
+  exit 1
+fi
+"$serve_bin" --stdio --serial < "$workdir/doc_req.jsonl" \
+  > "$workdir/doc_got.jsonl" 2> /dev/null
+if ! cmp -s "$workdir/doc_want.jsonl" "$workdir/doc_got.jsonl"; then
+  echo "check_service: FAILED (docs/service.md transcript is stale)"
+  diff "$workdir/doc_want.jsonl" "$workdir/doc_got.jsonl" | head -10
+  exit 1
+fi
+echo "   $(wc -l < "$workdir/doc_got.jsonl") lines match the documentation"
 
 echo "== pass 2: socket server, client batch, SIGTERM drain =="
 sock="$workdir/soctest.sock"

@@ -7,8 +7,6 @@
 
 #include "pack/exact_pack.hpp"
 #include "pack/skyline.hpp"
-#include "tam/heuristics.hpp"
-#include "tam/ilp_solver.hpp"
 #include "tam/portfolio.hpp"
 #include "tam/timing.hpp"
 
@@ -118,181 +116,77 @@ DesignResult design_architecture(const Soc& soc, const DesignRequest& request) {
   // incumbent at all, so the portfolio's greedy floor becomes the
   // degradation chain for deadline-bound requests (docs/robustness.md). A
   // cancellation token is not a budget — the solve service installs one on
-  // every job — so it keeps kExact on the calling thread; a fired token
-  // degrades to greedy-LPT per partition in the width search, and below
-  // for explicit widths.
-  InnerSolver solver = request.solver;
-  if (request.deadline.finite() && solver == InnerSolver::kExact) {
-    solver = InnerSolver::kPortfolio;
+  // every job — so it keeps kExact on the calling thread; once fired, the
+  // search answers with its best greedy-LPT seed.
+  WidthPartitionOptions options;
+  options.solver = request.solver;
+  if (request.deadline.finite() && options.solver == InnerSolver::kExact) {
+    options.solver = InnerSolver::kPortfolio;
   }
-
-  DesignResult result;
-  if (request.bus_widths.empty()) {
-    WidthPartitionOptions options;
-    options.solver = solver;
-    options.max_nodes_per_solve = request.max_nodes;
-    options.threads = request.threads;
-    options.power_mode = request.power_mode;
-    options.bus_depth_limit = request.ate_depth_limit;
-    options.cancel = request.cancel;
-    options.deadline = request.deadline;
-    options.progress = request.progress;
-    // Portfolio width searches without layout/ATE constraints additionally
-    // race the rectangle-packing formulation; the packing wins only on a
-    // strictly smaller makespan, so every pre-pack answer is preserved.
-    // Explicitly requested portfolio only: the anytime kExact reroute keeps
-    // its pre-pack behavior (a deadline must not change which formulation a
-    // --solver exact run answers with).
-    const bool race_pack = request.solver == InnerSolver::kPortfolio &&
-                           request.pack_race && !needs_layout &&
-                           request.ate_depth_limit < 0 &&
-                           request.total_width >= 1;
-    ArchitectureResult arch;
-    bool pack_won = false;
-    if (race_pack) {
-      const TestTimeTable& pack_table =
-          cached_test_time_table(soc, request.total_width);
-      const PackProblem pack_problem =
-          make_pack_problem(soc, pack_table, request.total_width,
-                            request.p_max_mw);
-      PackSolverOptions pack_options;
-      pack_options.cancel = request.cancel;
-      pack_options.deadline = request.deadline;
-      FormulationRaceResult race = race_formulations(
-          [&] {
-            return optimize_widths(soc, table, num_buses, request.total_width,
-                                   nullptr, request.wire_budget,
-                                   request.p_max_mw, options);
-          },
-          pack_problem, pack_options);
-      arch = std::move(race.fixed);
-      if (race.pack_won) {
-        pack_won = true;
-        fill_pack_result(result, soc.num_cores(), request.total_width,
-                         std::move(race.pack));
-        result.partitions_tried += arch.partitions_tried;
-        result.total_nodes += arch.total_nodes;
-        report_pack_progress(request, result, pack_problem.lower_bound());
-      }
-    } else {
-      arch = optimize_widths(soc, table, num_buses, request.total_width,
-                             layout ? &*layout : nullptr, request.wire_budget,
-                             request.p_max_mw, options);
+  options.max_nodes_per_solve = request.max_nodes;
+  options.threads = request.threads;
+  options.power_mode = request.power_mode;
+  options.bus_depth_limit = request.ate_depth_limit;
+  options.cancel = request.cancel;
+  options.deadline = request.deadline;
+  options.progress = request.progress;
+  // Explicit widths are a width search over one candidate.
+  const auto solve_fixed = [&] {
+    const LayoutConstraints* layout_ptr = layout ? &*layout : nullptr;
+    if (!request.bus_widths.empty()) {
+      return search_width_candidates(soc, table, num_buses, request.bus_widths,
+                                     layout_ptr, request.wire_budget,
+                                     request.p_max_mw, options);
     }
-    if (!pack_won) {
-      result.feasible = arch.feasible;
-      result.proved_optimal = arch.proved_optimal;
-      result.bus_widths = arch.bus_widths;
-      result.assignment = arch.assignment;
-      result.partitions_tried = arch.partitions_tried;
-      result.total_nodes = arch.total_nodes;
-      result.stop = arch.stop;
-      result.search_mode = arch.search_mode;
-      result.certificate = arch.certificate;
+    return optimize_widths(soc, table, num_buses, request.total_width,
+                           layout_ptr, request.wire_budget, request.p_max_mw,
+                           options);
+  };
+
+  // Portfolio width searches without layout/ATE constraints additionally
+  // race the rectangle-packing formulation; the packing wins only on a
+  // strictly smaller makespan, so every pre-pack answer is preserved.
+  // Explicitly requested portfolio only: the anytime kExact reroute keeps
+  // its pre-pack behavior (a deadline must not change which formulation a
+  // --solver exact run answers with).
+  const bool race_pack = request.bus_widths.empty() &&
+                         request.solver == InnerSolver::kPortfolio &&
+                         request.pack_race && !needs_layout &&
+                         request.ate_depth_limit < 0 &&
+                         request.total_width >= 1;
+  DesignResult result;
+  ArchitectureResult arch;
+  if (race_pack) {
+    const TestTimeTable& pack_table =
+        cached_test_time_table(soc, request.total_width);
+    const PackProblem pack_problem = make_pack_problem(
+        soc, pack_table, request.total_width, request.p_max_mw);
+    PackSolverOptions pack_options;
+    pack_options.cancel = request.cancel;
+    pack_options.deadline = request.deadline;
+    FormulationRaceResult race =
+        race_formulations(solve_fixed, pack_problem, pack_options);
+    arch = std::move(race.fixed);
+    if (race.pack_won) {
+      fill_pack_result(result, soc.num_cores(), request.total_width,
+                       std::move(race.pack));
+      result.partitions_tried += arch.partitions_tried;
+      result.total_nodes += arch.total_nodes;
+      report_pack_progress(request, result, pack_problem.lower_bound());
+      return result;
     }
   } else {
-    const TamProblem problem =
-        make_tam_problem(soc, table, request.bus_widths,
-                         layout ? &*layout : nullptr, request.wire_budget,
-                         request.p_max_mw, request.power_mode,
-                         request.ate_depth_limit);
-    // Streaming requests get the greedy floor as a first incumbent before
-    // the real solve starts: even a single-partition request then produces
-    // at least one partial whenever a feasible assignment exists. The
-    // greedy result is reported only — it never warm-starts the solver, so
-    // a progress callback cannot change the solve itself.
-    long long progress_best = -1;
-    const auto report_progress = [&](const TamSolveResult& incumbent) {
-      if (!request.progress || !incumbent.feasible) return;
-      const auto makespan =
-          static_cast<long long>(incumbent.assignment.makespan);
-      if (progress_best >= 0 && makespan >= progress_best) return;
-      progress_best = makespan;
-      SolveProgress snapshot;
-      snapshot.bus_widths = request.bus_widths;
-      snapshot.t_cycles = makespan;
-      const Cycles lb = problem.lower_bound();
-      snapshot.lower_bound = lb > 0 ? static_cast<long long>(lb) : -1;
-      request.progress(snapshot);
-    };
-    if (request.progress && solver != InnerSolver::kGreedy) {
-      report_progress(solve_greedy_lpt(problem));
-    }
-    TamSolveResult solved;
-    bool have_certificate = false;
-    switch (solver) {
-      case InnerSolver::kExact: {
-        ExactSolverOptions options;
-        options.max_nodes = request.max_nodes;
-        options.threads = request.threads;
-        options.cancel = request.cancel;
-        options.deadline = request.deadline;
-        solved = solve_exact(problem, options);
-        // Same floor as optimize_widths: an interrupted exact solve that
-        // found nothing answers with greedy-LPT instead of "infeasible".
-        if (request.cancel != nullptr && !solved.feasible &&
-            solved.stop != StopReason::kNone) {
-          solved = greedy_floor(problem, std::move(solved));
-        }
-        break;
-      }
-      case InnerSolver::kIlp: {
-        MipOptions options;
-        options.cancel = request.cancel;
-        options.deadline = request.deadline;
-        solved = solve_ilp(problem, options);
-        break;
-      }
-      case InnerSolver::kGreedy:
-        solved = solve_greedy_lpt(problem);
-        break;
-      case InnerSolver::kSa: {
-        SaSolverOptions options;
-        options.cancel = request.cancel;
-        options.deadline = request.deadline;
-        solved = solve_sa(problem, options);
-        break;
-      }
-      case InnerSolver::kPortfolio: {
-        PortfolioOptions options;
-        options.max_nodes = request.max_nodes;
-        options.threads = request.threads;
-        options.cancel = request.cancel;
-        options.deadline = request.deadline;
-        const PortfolioResult race = solve_portfolio(problem, options);
-        solved = race.best;
-        result.certificate = race.certificate;
-        have_certificate = true;
-        break;
-      }
-    }
-    report_progress(solved);
-    result.feasible = solved.feasible;
-    result.proved_optimal = solved.proved_optimal;
-    result.bus_widths = request.bus_widths;
-    result.assignment = solved.assignment;
-    result.partitions_tried = 1;
-    result.total_nodes = solved.nodes;
-    result.stop = solved.stop;
-    result.search_mode = solved.search_mode;
-    if (!have_certificate) {
-      if (!result.feasible) {
-        result.certificate = certify_infeasible(
-            /*proven=*/solved.proved_optimal, solved.stop);
-      } else if (result.proved_optimal) {
-        result.certificate = certify_optimal(
-            static_cast<long long>(result.assignment.makespan));
-      } else {
-        const auto makespan =
-            static_cast<long long>(result.assignment.makespan);
-        const Cycles lb = problem.lower_bound();
-        result.certificate =
-            lb > 0 ? certify_bounded(makespan, static_cast<long long>(lb),
-                                     solved.stop)
-                   : certify_feasible(makespan, solved.stop);
-      }
-    }
+    arch = solve_fixed();
   }
+  result.feasible = arch.feasible;
+  result.proved_optimal = arch.proved_optimal;
+  result.bus_widths = std::move(arch.bus_widths);
+  result.assignment = std::move(arch.assignment);
+  result.partitions_tried = arch.partitions_tried;
+  result.total_nodes = arch.total_nodes;
+  result.stop = arch.stop;
+  result.search_mode = arch.search_mode;
+  result.certificate = std::move(arch.certificate);
 
   result.bus_plan = std::move(plan);
   if (result.feasible && layout) {

@@ -15,7 +15,8 @@ namespace soctest {
 /// optimization. This is the public API the examples exercise.
 struct DesignRequest {
   /// Explicit bus widths; when empty, `num_buses`/`total_width` drive a
-  /// width-partition search instead.
+  /// width-partition search instead. Explicit widths run the same search
+  /// over a single candidate (search_width_candidates).
   std::vector<int> bus_widths;
   int num_buses = 2;
   int total_width = 32;
@@ -53,8 +54,10 @@ struct DesignRequest {
   /// solver's determinism guarantee).
   int threads = 1;
   /// Optional cooperative cancellation observed by every long-running stage.
-  /// A token alone does not reroute kExact (only a finite deadline does); a
-  /// fired token degrades an empty-handed exact solve to greedy-LPT.
+  /// A token alone does not reroute kExact (only a finite deadline does). A
+  /// fired token stops the search, which then answers with its best valid
+  /// greedy-LPT seed, or with greedy-LPT on the last candidate when it
+  /// stopped before scoring one; explicit and searched widths alike.
   const CancellationToken* cancel = nullptr;
   /// Optional wall-clock deadline (anytime mode, --time-limit-ms). With a
   /// finite deadline the kExact solver is routed through the portfolio so a
@@ -62,9 +65,10 @@ struct DesignRequest {
   /// the achieved optimality gap.
   Deadline deadline;
   /// Optional incumbent-improvement callback (tam/width_partition.hpp).
-  /// The width search reports each improving architecture; an explicit
-  /// bus_widths request reports the greedy floor first and the solved
-  /// assignment when it improves on it. Runs on the solving thread.
+  /// Explicit and searched widths alike report the best valid greedy-LPT
+  /// seed first, then every strictly better architecture. The lower bound
+  /// is the lone candidate's own for explicit widths, the width-relaxed
+  /// bound for a search. Runs on the solving thread.
   ProgressFn progress;
 };
 

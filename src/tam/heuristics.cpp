@@ -211,16 +211,6 @@ TamSolveResult solve_greedy_lpt(const TamProblem& problem) {
   return assemble(problem, items, item_bus, static_cast<long long>(items.size()));
 }
 
-TamSolveResult greedy_floor(const TamProblem& problem,
-                            TamSolveResult interrupted) {
-  TamSolveResult fallback = solve_greedy_lpt(problem);
-  if (!fallback.feasible) return interrupted;
-  fallback.stop = interrupted.stop;
-  fallback.proved_optimal = false;
-  fallback.nodes = interrupted.nodes;
-  return fallback;
-}
-
 TamSolveResult solve_sa(const TamProblem& problem, const SaSolverOptions& options) {
   obs::Span span("tam.sa.solve", {{"iterations", options.iterations}});
   const Items items(problem);

@@ -14,13 +14,6 @@ namespace soctest {
 /// and the result may be infeasible (feasible = false).
 TamSolveResult solve_greedy_lpt(const TamProblem& problem);
 
-/// Anytime floor for an interrupted solve that found nothing: greedy-LPT's
-/// assignment, carrying the interrupted solve's stop reason and node count
-/// and never claimed optimal. Returns `interrupted` unchanged when greedy
-/// finds nothing feasible either.
-TamSolveResult greedy_floor(const TamProblem& problem,
-                            TamSolveResult interrupted);
-
 struct SaSolverOptions {
   int iterations = 50000;
   double initial_temperature = 0.0;  ///< 0 = auto (scaled to makespan)

@@ -1,9 +1,9 @@
 #include "tam/width_partition.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 
 #include "tam/heuristics.hpp"
@@ -127,32 +127,86 @@ ArchitectureResult optimize_widths(const Soc& soc, const TestTimeTable& table,
                                    const LayoutConstraints* layout,
                                    long long wire_budget, double p_max_mw,
                                    const WidthPartitionOptions& options) {
-  if (num_buses <= 0) throw std::invalid_argument("num_buses must be positive");
-  if (total_width < num_buses) {
+  if (num_buses > 0 && total_width < num_buses) {
     throw std::invalid_argument("total width below one wire per bus");
   }
+  // Enumeration order: partitions from the most lopsided split, each as its
+  // sorted-ascending vector — and, when layout makes buses distinguishable,
+  // every distinct permutation of it (next_permutation from the sorted
+  // order).
+  std::vector<int> flat_widths;
+  for (std::vector<int> widths : width_partitions(total_width, num_buses)) {
+    std::sort(widths.begin(), widths.end());
+    do {
+      flat_widths.insert(flat_widths.end(), widths.begin(), widths.end());
+    } while (layout != nullptr &&
+             std::next_permutation(widths.begin(), widths.end()));
+  }
+  return search_width_candidates(soc, table, num_buses, flat_widths, layout,
+                                 wire_budget, p_max_mw, options);
+}
+
+ArchitectureResult search_width_candidates(
+    const Soc& soc, const TestTimeTable& table, int num_buses,
+    const std::vector<int>& flat_widths, const LayoutConstraints* layout,
+    long long wire_budget, double p_max_mw,
+    const WidthPartitionOptions& options) {
+  if (num_buses <= 0) throw std::invalid_argument("num_buses must be positive");
+  const auto b = static_cast<std::size_t>(num_buses);
+  if (flat_widths.empty() || flat_widths.size() % b != 0) {
+    throw std::invalid_argument("width candidates must be whole vectors");
+  }
+  const std::size_t num_candidates = flat_widths.size() / b;
+  const auto widths_at = [&](std::size_t k) {
+    const auto first = flat_widths.begin() + static_cast<std::ptrdiff_t>(k * b);
+    return std::vector<int>(first, first + static_cast<std::ptrdiff_t>(b));
+  };
+  // Everything that does not depend on the width vector (validation,
+  // diagnostics, power groups, layout rows) is built once; its errors hold
+  // for every candidate, so they propagate.
+  TamProblem problem =
+      make_tam_problem_frame(soc, table, b, layout, wire_budget, p_max_mw,
+                             options.power_mode, options.bus_depth_limit);
+
   ArchitectureResult best;
   best.proved_optimal = true;
-  // The width-relaxed global bound is cheap and fixed for the whole
-  // search, so it doubles as the per-incumbent gap reference streamed to
-  // progress callbacks.
-  const Cycles global_lb =
-      width_search_lower_bound(table, num_buses, total_width);
-  const auto report_progress = [&] {
-    if (!options.progress) return;
+  std::size_t best_index = num_candidates;
+  // Gap reference for partials and the certificate: a lone candidate's own
+  // bound, else the width-relaxed bound of the whole search. Only asked
+  // for once an incumbent exists, so a lone candidate's widths are set.
+  Cycles gap_lb = -1;
+  const auto gap_reference = [&] {
+    if (gap_lb < 0) {
+      gap_lb = num_candidates == 1
+                   ? problem.lower_bound()
+                   : width_search_lower_bound(
+                         table, num_buses,
+                         std::accumulate(flat_widths.begin(),
+                                         flat_widths.begin() + num_buses, 0));
+    }
+    return gap_lb;
+  };
+  // Adopts candidate `index`'s result as the incumbent. Partials stream
+  // strict improvements only, never a tie moved to a lower index.
+  const auto accept = [&](std::size_t index, TamSolveResult result) {
+    const bool improved = !best.feasible ||
+                          result.assignment.makespan < best.assignment.makespan;
+    best.feasible = true;
+    best.bus_widths = widths_at(index);
+    best.assignment = std::move(result.assignment);
+    best.search_mode = result.search_mode;
+    best_index = index;
+    if (!improved || !options.progress) return;
     SolveProgress snapshot;
     snapshot.bus_widths = best.bus_widths;
     snapshot.t_cycles = static_cast<long long>(best.assignment.makespan);
-    snapshot.lower_bound =
-        global_lb > 0 ? static_cast<long long>(global_lb) : -1;
+    const Cycles lb = gap_reference();
+    snapshot.lower_bound = lb > 0 ? static_cast<long long>(lb) : -1;
     options.progress(snapshot);
   };
-  const bool permute = options.permute_widths || layout != nullptr;
   // Stop polling between candidates; the per-node/iteration checks live in
   // the inner solvers.
   StopCheck stop_check(options.deadline, options.cancel);
-  const bool anytime =
-      options.deadline.finite() || options.cancel != nullptr;
   bool stopped = false;
   const auto note_stop = [&] {
     best.proved_optimal = false;
@@ -160,27 +214,8 @@ ArchitectureResult optimize_widths(const Soc& soc, const TestTimeTable& table,
     stopped = true;
   };
 
-  // Enumeration order: partitions from the most lopsided split, each as its
-  // sorted-ascending vector — and, when buses are distinguishable, every
-  // distinct permutation of it (next_permutation from the sorted order).
-  // Candidate k's widths are widths_of[k * B, (k + 1) * B).
-  const auto b = static_cast<std::size_t>(num_buses);
-  std::vector<int> widths_of;
-  for (std::vector<int> widths : width_partitions(total_width, num_buses)) {
-    std::sort(widths.begin(), widths.end());
-    do {
-      widths_of.insert(widths_of.end(), widths.begin(), widths.end());
-    } while (permute && std::next_permutation(widths.begin(), widths.end()));
-  }
-  const auto widths_at = [&](std::size_t k) {
-    const auto first = widths_of.begin() + static_cast<std::ptrdiff_t>(k * b);
-    return std::vector<int>(first, first + static_cast<std::ptrdiff_t>(b));
-  };
-
-  // Scoring pass. Everything that does not depend on the width vector
-  // (validation, diagnostics, power groups, layout rows) is built once into
-  // `problem`; each candidate rewrites only its widths and times, then gets
-  // its lower bound and a greedy-LPT seed.
+  // Scoring pass: each candidate rewrites only the problem's widths and
+  // times, then gets its lower bound and a greedy-LPT seed.
   struct Candidate {
     std::size_t index = 0;  ///< enumeration index: the tie-break
     Cycles lower_bound = 0;
@@ -193,163 +228,121 @@ ArchitectureResult optimize_widths(const Soc& soc, const TestTimeTable& table,
     }
   };
   std::vector<Candidate> scored;
-  std::optional<TamProblem> problem;
-  bool frame_infeasible = false;
-  const std::size_t num_candidates = widths_of.size() / b;
+  std::exception_ptr first_rejection;
   for (std::size_t k = 0; k < num_candidates; ++k) {
     if (stop_check.should_stop()) {
       note_stop();
       break;
     }
     ++best.partitions_tried;
-    if (frame_infeasible) continue;
     try {
-      if (!problem) {
-        problem = make_tam_problem_frame(soc, table, b, layout, wire_budget,
-                                         p_max_mw, options.power_mode,
-                                         options.bus_depth_limit);
-      }
-      set_tam_problem_widths(*problem, soc, table, widths_at(k));
+      set_tam_problem_widths(problem, soc, table, widths_at(k));
     } catch (const std::runtime_error&) {
       // Some core fits no bus under the ATE depth limit at these widths
       // (narrow buses inflate test times); other candidates may still fit.
-      // Without a depth limit the constraints are infeasible outright.
-      if (options.bus_depth_limit < 0) throw;
-      if (!problem) frame_infeasible = true;
+      if (!first_rejection) first_rejection = std::current_exception();
       continue;
     }
     Candidate candidate;
     candidate.index = k;
-    candidate.lower_bound = problem->lower_bound();
-    candidate.seed = solve_greedy_lpt(*problem);
+    candidate.lower_bound = problem.lower_bound();
+    candidate.seed = solve_greedy_lpt(problem);
     scored.push_back(std::move(candidate));
+  }
+  // Every candidate rejected: the constraints cannot be met at any of these
+  // widths, which is the first rejection's diagnostic.
+  if (scored.empty() && first_rejection && !stopped) {
+    std::rethrow_exception(first_rejection);
   }
 
   // Best-first solve pass over (seed key, enumeration index). The
   // incumbent (T, idx) is compared lexicographically, so the search returns
   // the lowest-index width vector reaching the optimum — the answer of a
-  // plain enumeration-order scan. A valid seed is an achievable makespan,
-  // so for the solvers that honor a bound it stands in as the incumbent
-  // until the first solve is accepted.
+  // plain enumeration-order scan. The best valid seed is an achievable
+  // makespan: it is the first incumbent, and the bound handed to the
+  // solvers that honor one.
   std::vector<std::size_t> order(scored.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t x, std::size_t y) {
                      return scored[x].key() < scored[y].key();
                    });
-  const Candidate* best_seed =
-      order.empty() || !scored[order.front()].seed.feasible
-          ? nullptr
-          : &scored[order.front()];
-  Cycles incumbent = kInfCycles;
-  std::size_t incumbent_index = num_candidates;
-  if (best_seed != nullptr && (options.solver == InnerSolver::kExact ||
-                               options.solver == InnerSolver::kPortfolio)) {
-    incumbent = best_seed->seed.assignment.makespan;
-    incumbent_index = best_seed->index;
+  if (!order.empty() && scored[order.front()].seed.feasible) {
+    accept(scored[order.front()].index, scored[order.front()].seed);
   }
   for (std::size_t pos = 0; pos < order.size() && !stopped; ++pos) {
     const Candidate& candidate = scored[order[pos]];
+    const Cycles incumbent =
+        best.feasible ? best.assignment.makespan : kInfCycles;
     if (candidate.lower_bound > incumbent ||
-        (candidate.lower_bound == incumbent &&
-         candidate.index > incumbent_index)) {
+        (candidate.lower_bound == incumbent && candidate.index > best_index)) {
       continue;
     }
     if (stop_check.should_stop()) {
       note_stop();
       break;
     }
-    const std::vector<int> widths = widths_at(candidate.index);
     TamSolveResult result;
     if (options.solver == InnerSolver::kGreedy) {
       result = candidate.seed;
     } else {
-      set_tam_problem_widths(*problem, soc, table, widths);
+      set_tam_problem_widths(problem, soc, table, widths_at(candidate.index));
       // Before the incumbent's index a tie still wins, so search up to T;
       // after it only a strict improvement can.
       Cycles upper_bound = -1;
       if (incumbent != kInfCycles) {
-        upper_bound = candidate.index <= incumbent_index ? incumbent
-                                                         : incumbent - 1;
+        upper_bound =
+            candidate.index <= best_index ? incumbent : incumbent - 1;
       }
-      result = run_inner(*problem, options, upper_bound);
+      result = run_inner(problem, options, upper_bound);
     }
     best.total_nodes += result.nodes;
     if (!result.proved_optimal) best.proved_optimal = false;
     if (result.stop != StopReason::kNone && best.stop == StopReason::kNone) {
       best.stop = result.stop;
     }
-    // Graceful degradation: an interrupted inner solve that found nothing
-    // must not silently skip the candidate — greedy-LPT is cheap enough to
-    // always supply a floor incumbent.
-    if (anytime && !result.feasible && result.stop != StopReason::kNone &&
-        options.solver != InnerSolver::kGreedy) {
-      result = greedy_floor(*problem, std::move(result));
-    }
+    // An interrupted solve that found nothing leaves the incumbent, at
+    // worst the best valid seed, in place.
     if (!result.feasible) continue;
     const Cycles makespan = result.assignment.makespan;
     if (makespan > incumbent ||
-        (makespan == incumbent && candidate.index > incumbent_index)) {
+        (makespan == incumbent && candidate.index > best_index)) {
       continue;
     }
-    // Partials stream strict improvements only, never a tie moved to a
-    // lower index.
-    const bool improved = !best.feasible || makespan < best.assignment.makespan;
-    best.feasible = true;
-    best.bus_widths = widths;
-    best.assignment = std::move(result.assignment);
-    best.search_mode = result.search_mode;
-    incumbent = makespan;
-    incumbent_index = candidate.index;
-    if (improved) report_progress();
+    accept(candidate.index, std::move(result));
   }
   if (!best.feasible) best.proved_optimal = false;
 
-  // An interrupted search that accepted nothing still has every scored
-  // candidate's seed: the best valid one is its answer.
-  if (!best.feasible && best.stop != StopReason::kNone &&
-      best_seed != nullptr) {
-    best.feasible = true;
-    best.bus_widths = widths_at(best_seed->index);
-    best.assignment = best_seed->seed.assignment;
-    report_progress();
-  }
-
-  // Anytime floor: even a budget that expired before the first partition
-  // still returns *an* architecture when one exists. Greedy-LPT on the
-  // balanced width split mirrors the portfolio's greedy floor; it ignores
-  // the already-expired deadline (greedy is O(n log n), not a search).
-  if (anytime && !best.feasible && best.stop != StopReason::kNone) {
-    std::vector<int> widths(static_cast<std::size_t>(num_buses),
-                            total_width / num_buses);
-    for (int r = 0; r < total_width % num_buses; ++r) ++widths[static_cast<std::size_t>(r)];
+  // Anytime floor: a search stopped before it scored a valid seed still
+  // returns *an* architecture when one exists. Greedy-LPT on the last
+  // candidate (the balanced split of an enumeration) ignores the stop:
+  // greedy is O(n log n), not a search.
+  if (!best.feasible && best.stop != StopReason::kNone) {
+    const std::size_t last = num_candidates - 1;
     try {
-      const TamProblem problem =
-          make_tam_problem(soc, table, widths, layout, wire_budget, p_max_mw,
-                           options.power_mode, options.bus_depth_limit);
-      const TamSolveResult fallback = solve_greedy_lpt(problem);
+      set_tam_problem_widths(problem, soc, table, widths_at(last));
+      TamSolveResult fallback = solve_greedy_lpt(problem);
       if (fallback.feasible) {
-        best.feasible = true;
-        best.proved_optimal = false;
-        best.bus_widths = widths;
-        best.assignment = fallback.assignment;
-        ++best.partitions_tried;
-        report_progress();
+        if (best.partitions_tried < static_cast<long long>(num_candidates)) {
+          ++best.partitions_tried;
+        }
+        accept(last, std::move(fallback));
       }
     } catch (const std::runtime_error&) {
-      // The balanced split cannot host some core under the constraints;
+      // The last candidate cannot host some core under the depth limit;
       // the run stays infeasible-with-stop-reason.
     }
   }
 
-  // Certificate: gap against the width-relaxed global lower bound.
   if (!best.feasible) {
     best.certificate =
-        certify_infeasible(/*proven=*/best.stop == StopReason::kNone,
-                           best.stop);
+        best.stop == StopReason::kFault
+            ? certify_error("every solve faulted before finding an assignment")
+            : certify_infeasible(/*proven=*/best.stop == StopReason::kNone,
+                                 best.stop);
   } else {
     const auto makespan = static_cast<long long>(best.assignment.makespan);
-    const Cycles lb = global_lb;
+    const Cycles lb = gap_reference();
     if (best.proved_optimal && best.stop == StopReason::kNone) {
       best.certificate = certify_optimal(makespan);
     } else if (lb > 0 && makespan <= static_cast<long long>(lb)) {

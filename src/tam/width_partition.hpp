@@ -38,15 +38,16 @@ struct SolveProgress {
 /// with a strictly better (smaller t_cycles) incumbent than the last.
 using ProgressFn = std::function<void(const SolveProgress&)>;
 
+/// Options of a width search (optimize_widths, search_width_candidates).
+/// An explicit-width design request is the same search over one candidate,
+/// so every field applies to both. Whether permutations of a width multiset
+/// are candidates is not an option: an enumeration adds them exactly when
+/// layout makes the buses distinguishable.
 struct WidthPartitionOptions {
   InnerSolver solver = InnerSolver::kExact;
   /// Worker threads for the exact solver's root-splitting search and the
   /// portfolio race. 1 = serial, 0 = auto (default_thread_count()).
   int threads = 1;
-  /// Try every distinct permutation of each width multiset onto the buses.
-  /// Only meaningful when buses are distinguishable (layout constraints make
-  /// them so); forced on automatically in that case.
-  bool permute_widths = false;
   /// Node budget passed to the exact inner solver; < 0 unlimited.
   long long max_nodes_per_solve = -1;
   /// How p_max_mw is encoded (pairwise serialization vs bus-max-sum).
@@ -57,14 +58,15 @@ struct WidthPartitionOptions {
   /// inside every inner solve.
   const CancellationToken* cancel = nullptr;
   /// Optional wall-clock deadline shared by the whole width search. On
-  /// expiry the enumeration stops and the best architecture found so far is
-  /// returned with a certificate bounding its gap. Partitions whose exact
-  /// solve was cut short fall back to a greedy assignment so a deadline
-  /// never turns a solvable partition into a silent skip.
+  /// expiry the search stops and the best architecture found so far is
+  /// returned with a certificate bounding its gap. The best valid
+  /// greedy-LPT seed is the first incumbent, so an interrupted solve never
+  /// turns a solvable search into "infeasible".
   Deadline deadline;
-  /// Optional incumbent-improvement callback (see ProgressFn). Invoked
-  /// between inner solves on the calling thread; an empty function (the
-  /// default) costs nothing.
+  /// Optional incumbent-improvement callback (see ProgressFn). Invoked on
+  /// the calling thread with the best valid seed after the scoring pass,
+  /// then on every strict improvement; an empty function (the default)
+  /// costs nothing.
   ProgressFn progress;
 };
 
@@ -82,9 +84,10 @@ struct ArchitectureResult {
   /// Execution strategy of the inner solve that produced the winning
   /// assignment (SearchMode::kNone for heuristic inner solvers).
   SearchMode search_mode = SearchMode::kNone;
-  /// Quality certificate: optimal when the enumeration completed with every
-  /// inner solve proven, feasible_bounded (gap vs the width-relaxed lower
-  /// bound) when interrupted, infeasible when nothing was found.
+  /// Quality certificate: optimal when the search completed with every
+  /// inner solve proven, feasible_bounded (gap vs the search's lower bound,
+  /// see search_width_candidates) when interrupted, infeasible when nothing
+  /// was found, error when the solves faulted before finding anything.
   SolveCertificate certificate;
 };
 
@@ -95,12 +98,31 @@ struct ArchitectureResult {
 ///
 /// This is the "architecture design" layer of the paper: the ILP assigns
 /// cores for *given* bus widths; this search chooses the widths themselves.
+/// It is candidate generation followed by search_width_candidates.
 ArchitectureResult optimize_widths(const Soc& soc, const TestTimeTable& table,
                                    int num_buses, int total_width,
                                    const LayoutConstraints* layout = nullptr,
                                    long long wire_budget = -1,
                                    double p_max_mw = -1.0,
                                    const WidthPartitionOptions& options = {});
+
+/// Solves the constrained assignment for every candidate width vector in
+/// `flat_widths` (candidate k is widths [k * num_buses, (k + 1) *
+/// num_buses); all candidates share one total width) and returns the best
+/// architecture, ties going to the lowest candidate index. One candidate
+/// is an explicit-width solve. Its certificate and partials measure the
+/// gap against that candidate's TamProblem::lower_bound(); several
+/// candidates measure it against the width-relaxed bound of the search.
+///
+/// Throws the width-independent diagnostics of make_tam_problem_frame
+/// (std::runtime_error). A candidate some core cannot fit under the ATE
+/// depth limit is skipped; when every candidate is, the first rejection is
+/// rethrown.
+ArchitectureResult search_width_candidates(
+    const Soc& soc, const TestTimeTable& table, int num_buses,
+    const std::vector<int>& flat_widths,
+    const LayoutConstraints* layout = nullptr, long long wire_budget = -1,
+    double p_max_mw = -1.0, const WidthPartitionOptions& options = {});
 
 /// All partitions of `total` into exactly `parts` positive non-increasing
 /// integers (helper exposed for tests; count grows polynomially for fixed

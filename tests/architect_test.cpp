@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "common/parallel.hpp"
@@ -10,6 +12,10 @@
 #include "soc/builtin.hpp"
 #include "soc/generator.hpp"
 #include "tam/architect.hpp"
+#include "tam/heuristics.hpp"
+#include "tam/ilp_solver.hpp"
+#include "tam/portfolio.hpp"
+#include "tam/timing.hpp"
 
 namespace soctest {
 namespace {
@@ -236,6 +242,275 @@ TEST(Architect, DeadlinePortfolioWidthSearchKeepsItsProof) {
     }
   }
   EXPECT_GT(counter_value("tam.portfolio.races"), races_before);
+}
+
+// ---------------------------------------------- explicit-width reference --
+
+/// The explicit-width solve as design_architecture ran it before explicit
+/// widths became a one-candidate width search: one TamProblem, the greedy
+/// floor streamed first, one inner solve, and the certificate measured
+/// against the problem's own lower bound. Complete solves only (no token,
+/// deadline or node budget), so its token-only greedy fallback is left out.
+DesignResult reference_explicit(const Soc& soc, const DesignRequest& request,
+                                std::vector<SolveProgress>* partials) {
+  std::optional<LayoutConstraints> layout;
+  if (request.use_layout || request.d_max >= 0 || request.wire_budget >= 0) {
+    const BusPlan plan =
+        plan_buses(soc, static_cast<int>(request.bus_widths.size()));
+    layout.emplace(plan, soc.num_cores(), request.d_max);
+  }
+  const TestTimeTable& table = cached_test_time_table(
+      soc, *std::max_element(request.bus_widths.begin(),
+                             request.bus_widths.end()));
+  const TamProblem problem =
+      make_tam_problem(soc, table, request.bus_widths,
+                       layout ? &*layout : nullptr, request.wire_budget,
+                       request.p_max_mw, request.power_mode,
+                       request.ate_depth_limit);
+  long long progress_best = -1;
+  const auto report_progress = [&](const TamSolveResult& incumbent) {
+    if (!incumbent.feasible) return;
+    const auto makespan = static_cast<long long>(incumbent.assignment.makespan);
+    if (progress_best >= 0 && makespan >= progress_best) return;
+    progress_best = makespan;
+    SolveProgress snapshot;
+    snapshot.bus_widths = request.bus_widths;
+    snapshot.t_cycles = makespan;
+    const Cycles lb = problem.lower_bound();
+    snapshot.lower_bound = lb > 0 ? static_cast<long long>(lb) : -1;
+    partials->push_back(snapshot);
+  };
+  if (request.solver != InnerSolver::kGreedy) {
+    report_progress(solve_greedy_lpt(problem));
+  }
+  DesignResult result;
+  TamSolveResult solved;
+  bool have_certificate = false;
+  switch (request.solver) {
+    case InnerSolver::kExact: {
+      ExactSolverOptions options;
+      options.threads = request.threads;
+      solved = solve_exact(problem, options);
+      break;
+    }
+    case InnerSolver::kIlp:
+      solved = solve_ilp(problem, MipOptions{});
+      break;
+    case InnerSolver::kGreedy:
+      solved = solve_greedy_lpt(problem);
+      break;
+    case InnerSolver::kSa:
+      solved = solve_sa(problem, SaSolverOptions{});
+      break;
+    case InnerSolver::kPortfolio: {
+      PortfolioOptions options;
+      options.threads = request.threads;
+      const PortfolioResult race = solve_portfolio(problem, options);
+      solved = race.best;
+      result.certificate = race.certificate;
+      have_certificate = true;
+      break;
+    }
+    default:
+      throw std::logic_error("reference covers the assignment solvers");
+  }
+  report_progress(solved);
+  result.feasible = solved.feasible;
+  result.proved_optimal = solved.proved_optimal;
+  result.bus_widths = request.bus_widths;
+  result.assignment = solved.assignment;
+  result.partitions_tried = 1;
+  result.total_nodes = solved.nodes;
+  result.stop = solved.stop;
+  result.search_mode = solved.search_mode;
+  if (!have_certificate) {
+    const auto makespan = static_cast<long long>(result.assignment.makespan);
+    const Cycles lb = problem.lower_bound();
+    if (!result.feasible) {
+      result.certificate = certify_infeasible(solved.proved_optimal, solved.stop);
+    } else if (result.proved_optimal) {
+      result.certificate = certify_optimal(makespan);
+    } else {
+      result.certificate =
+          lb > 0 ? certify_bounded(makespan, static_cast<long long>(lb),
+                                   solved.stop)
+                 : certify_feasible(makespan, solved.stop);
+    }
+  }
+  return result;
+}
+
+struct ExplicitCase {
+  int n = 8;
+  int buses = 2;
+  int power = 0;  ///< 0 off, 1 pairwise, 2 bus-max-sum
+  bool d_max = false;
+  bool wire = false;
+  bool depth = false;
+  InnerSolver solver = InnerSolver::kExact;
+
+  std::string label() const {
+    return "n=" + std::to_string(n) + " B=" + std::to_string(buses) +
+           " power=" + std::to_string(power) + " d_max=" +
+           std::to_string(d_max) + " wire=" + std::to_string(wire) +
+           " depth=" + std::to_string(depth) + " solver=" +
+           inner_solver_name(solver);
+  }
+};
+
+/// Draws a placed SOC and explicit widths for `c`, then runs the request
+/// through design_architecture and the reference and compares the answers.
+void check_explicit_against_reference(const ExplicitCase& c, Rng& draw,
+                                      int* sa_kept_floor) {
+  SCOPED_TRACE(c.label());
+  Rng rng(draw.next());
+  SocGeneratorOptions gen;
+  gen.num_cores = c.n;
+  const Soc soc = generate_soc(gen, rng);
+  DesignRequest request;
+  request.solver = c.solver;
+  for (int j = 0; j < c.buses; ++j) {
+    request.bus_widths.push_back(static_cast<int>(draw.uniform_int(1, 20)));
+  }
+  SCOPED_TRACE("widths=" + ::testing::PrintToString(request.bus_widths));
+  if (c.d_max || c.wire) {
+    // The tightest d_max that still connects every core, and a wiring
+    // budget a third of the way from the cheapest to the dearest stubs.
+    const LayoutConstraints open(plan_buses(soc, c.buses), soc.num_cores(),
+                                 -1);
+    int d_max = -1;
+    long long cheapest = 0;
+    long long dearest = 0;
+    for (std::size_t i = 0; i < soc.num_cores(); ++i) {
+      int lo = -1;
+      int hi = 0;
+      for (std::size_t j = 0; j < open.num_buses(); ++j) {
+        const int d = open.distance(i, j);
+        if (d < 0) continue;
+        if (lo < 0 || d < lo) lo = d;
+        hi = std::max(hi, d);
+      }
+      d_max = std::max(d_max, lo);
+      cheapest += lo;
+      dearest += hi;
+    }
+    if (c.d_max) request.d_max = d_max;
+    if (c.wire) request.wire_budget = cheapest + (dearest - cheapest) / 3;
+  }
+  double max_power = 0.0;
+  for (std::size_t i = 0; i < soc.num_cores(); ++i) {
+    max_power = std::max(max_power, soc.core(i).test_power_mw);
+  }
+  if (c.power == 1) request.p_max_mw = 1.6 * max_power;
+  if (c.power == 2) {
+    request.p_max_mw = 1.5 * max_power;
+    request.power_mode = PowerConstraintMode::kBusMaxSum;
+  }
+  if (c.depth) {
+    const int narrowest = *std::min_element(request.bus_widths.begin(),
+                                            request.bus_widths.end());
+    request.ate_depth_limit =
+        cached_test_time_table(soc, narrowest).total_time(narrowest) * 5 /
+        (4 * c.buses);
+  }
+
+  std::vector<SolveProgress> want_partials;
+  std::optional<DesignResult> want;
+  try {
+    want = reference_explicit(soc, request, &want_partials);
+  } catch (const std::runtime_error&) {
+  }
+  std::vector<SolveProgress> partials;
+  request.progress = [&](const SolveProgress& p) { partials.push_back(p); };
+  std::optional<DesignResult> got;
+  try {
+    got = design_architecture(soc, request);
+  } catch (const std::runtime_error&) {
+  }
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!want) return;
+
+  EXPECT_EQ(got->partitions_tried, 1);
+  EXPECT_EQ(got->stop, StopReason::kNone);
+
+  // Partials: the same stream as the reference (the greedy floor, then
+  // the solve when it improves on it), so strictly improving.
+  ASSERT_EQ(partials.size(), want_partials.size());
+  for (std::size_t k = 0; k < partials.size(); ++k) {
+    EXPECT_EQ(partials[k].bus_widths, want_partials[k].bus_widths);
+    EXPECT_EQ(partials[k].t_cycles, want_partials[k].t_cycles);
+    EXPECT_EQ(partials[k].lower_bound, want_partials[k].lower_bound);
+    if (k > 0) {
+      EXPECT_LT(partials[k].t_cycles, partials[k - 1].t_cycles);
+    }
+  }
+
+  // SA can end above the greedy-LPT floor the reference streamed first and
+  // then returned anyway. The search keeps that floor as its incumbent,
+  // so its answer is the floor and matches the last partial.
+  if (c.solver == InnerSolver::kSa && !want_partials.empty() &&
+      (!want->feasible ||
+       want->assignment.makespan > want_partials.front().t_cycles)) {
+    ASSERT_TRUE(got->feasible);
+    EXPECT_EQ(static_cast<long long>(got->assignment.makespan),
+              want_partials.front().t_cycles);
+    EXPECT_EQ(got->certificate.lower_bound, want_partials.front().lower_bound);
+    ++*sa_kept_floor;
+    return;
+  }
+
+  EXPECT_EQ(got->feasible, want->feasible);
+  EXPECT_EQ(got->certificate.status, want->certificate.status);
+  EXPECT_EQ(got->certificate.lower_bound, want->certificate.lower_bound);
+  if (got->feasible) {
+    EXPECT_EQ(got->bus_widths, want->bus_widths);
+    EXPECT_EQ(got->assignment.core_to_bus, want->assignment.core_to_bus);
+    EXPECT_EQ(got->assignment.makespan, want->assignment.makespan);
+    EXPECT_EQ(got->proved_optimal, want->proved_optimal);
+    ASSERT_FALSE(partials.empty());
+    EXPECT_EQ(partials.back().t_cycles,
+              static_cast<long long>(got->assignment.makespan));
+  } else {
+    // An answer without an architecture names no widths, as a width
+    // search's does; the single-solve path echoed the request and the
+    // failed assignment.
+    EXPECT_TRUE(got->bus_widths.empty());
+    EXPECT_FALSE(got->proved_optimal);
+  }
+}
+
+TEST(ExplicitWidthDifferential, MatchesTheSingleSolveReference) {
+  // Every power x layout x depth combination over generated placed SOCs,
+  // N 8-24 on two and three buses, widths 1-20 per bus. ILP takes N 8-10
+  // on two buses.
+  Rng draw(20261017);
+  int cases = 0;
+  int sa_kept_floor = 0;
+  for (int power = 0; power < 3; ++power) {
+    for (int mask = 0; mask < 8; ++mask) {
+      for (InnerSolver solver :
+           {InnerSolver::kExact, InnerSolver::kGreedy, InnerSolver::kSa,
+            InnerSolver::kPortfolio, InnerSolver::kIlp}) {
+        const bool ilp = solver == InnerSolver::kIlp;
+        for (int r = 0; r < (ilp ? 1 : 2); ++r) {
+          ExplicitCase c;
+          c.solver = solver;
+          c.power = power;
+          c.d_max = (mask & 1) != 0;
+          c.wire = (mask & 2) != 0;
+          c.depth = (mask & 4) != 0;
+          c.n = static_cast<int>(ilp ? draw.uniform_int(8, 10)
+                                     : draw.uniform_int(8, 24));
+          c.buses = static_cast<int>(ilp ? 2 : draw.uniform_int(2, 3));
+          check_explicit_against_reference(c, draw, &sa_kept_floor);
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3 * 8 * 9);
+  // SA beats or ties its floor on all but a few of its 48 cases.
+  EXPECT_LE(sa_kept_floor, 4);
 }
 
 TEST(Architect, DescribeDesignMentionsKeyFacts) {

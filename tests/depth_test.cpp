@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "soc/builtin.hpp"
 #include "tam/exact_solver.hpp"
 #include "tam/heuristics.hpp"
@@ -115,6 +118,52 @@ TEST(DepthConstraint, WidthSearchSkipsUnfittablePartitions) {
   const auto r = optimize_widths(soc, table, 2, 16, nullptr, -1, -1.0, options);
   ASSERT_TRUE(r.feasible);
   EXPECT_LE(r.assignment.makespan, 9000);
+}
+
+/// The message of the std::runtime_error `search` throws; empty if none.
+template <typename Search>
+std::string runtime_error_of(Search search) {
+  try {
+    search();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(DepthConstraint, WidthSearchKeepsWidthIndependentDiagnostics) {
+  // A core above p_max is infeasible at every width. A depth limit that
+  // every partition fits must not turn that diagnostic into "infeasible".
+  const Soc soc = builtin_soc1();
+  const TestTimeTable table(soc, 23);
+  const auto search = [&](Cycles depth) {
+    WidthPartitionOptions options;
+    options.bus_depth_limit = depth;
+    return runtime_error_of([&] {
+      optimize_widths(soc, table, 2, 24, nullptr, -1, 1.0, options);
+    });
+  };
+  const std::string plain = search(-1);
+  EXPECT_NE(plain.find("alone exceeds the test power budget"),
+            std::string::npos)
+      << plain;
+  EXPECT_EQ(search(100000000), plain);
+}
+
+TEST(DepthConstraint, WidthSearchRejectingEveryPartitionRethrowsTheFirst) {
+  const Soc soc = builtin_soc2();
+  const TestTimeTable table(soc, 15);
+  WidthPartitionOptions options;
+  options.bus_depth_limit = 10;  // no core fits at any width
+  const std::string first = runtime_error_of([&] {
+    make_tam_problem(soc, table, {1, 15}, nullptr, -1, -1.0,
+                     PowerConstraintMode::kPairwiseSerialization, 10);
+  });
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(runtime_error_of([&] {
+              optimize_widths(soc, table, 2, 16, nullptr, -1, -1.0, options);
+            }),
+            first);
 }
 
 TEST(DepthConstraint, DepthSweepTracesFrontier) {

@@ -170,7 +170,7 @@ ArchitectureResult reference_widths(const Soc& soc, const TestTimeTable& table,
                                     const WidthPartitionOptions& options) {
   ArchitectureResult best;
   best.proved_optimal = true;
-  const bool permute = options.permute_widths || layout != nullptr;
+  const bool permute = layout != nullptr;
   for (const auto& partition : width_partitions(total_width, num_buses)) {
     std::vector<int> widths = partition;
     std::sort(widths.begin(), widths.end());

@@ -766,6 +766,26 @@ std::vector<GateCase> gate_suite() {
                      request.solver = InnerSolver::kExact;
                      design_architecture(soc, request);
                    }});
+  // Explicit-width requests served through the solve service: each is a
+  // width search over one candidate, scored with greedy-LPT and then
+  // solved once. Exact requests stay on the worker thread; portfolio
+  // requests race once each.
+  suite.push_back({"serve_explicit_widths",
+                   {"tam.exact.nodes", "tam.greedy.solves",
+                    "tam.portfolio.races"},
+                   [] {
+                     ServiceConfig config;
+                     config.serial = true;
+                     SolveService service(config);
+                     for (const char* line : {
+                              R"({"schema":"soctest-req-v1","id":"e1","soc":"soc1","widths":[12,12],"solver":"exact"})",
+                              R"({"schema":"soctest-req-v1","id":"e2","soc":"soc2","widths":[16,8,8],"solver":"exact"})",
+                              R"({"schema":"soctest-req-v1","id":"e3","soc":"soc3","widths":[24,16],"pmax":2000,"solver":"exact"})",
+                              R"({"schema":"soctest-req-v1","id":"p1","soc":"soc2","widths":[6,26],"solver":"portfolio"})",
+                              R"({"schema":"soctest-req-v1","id":"p2","soc":"soc1","widths":[16,8,8],"solver":"portfolio"})"}) {
+                       service.submit(line, [](std::string) {});
+                     }
+                   }});
   // The sweep's four max widths (B x W = 2x24, 2x40, 3x32, 3x40) on one SOC
   // from an empty memo: misses grow from the widest cached table, so
   // wrapper design runs for 39 widths per core instead of 23+39+30+38.
