@@ -195,14 +195,20 @@ if [ -f "$service_doc" ]; then
       fail=1
     fi
   done
-  # The accepted --solver names: the CLI parser's dispatch chain
-  # (src/cli/options.cpp) vs the delimited catalog in docs/service.md,
-  # diffed both ways — a solver the docs do not name is undiscoverable,
-  # and a documented name the parser rejects is a lying runbook.
-  solver_src=$(sed -n '/arg == "--solver"/,/unknown solver/p' \
-                 "$root/src/cli/options.cpp" |
-                 grep -oE 'name == "[a-z-]+"' | grep -oE '"[a-z-]+"' |
-                 tr -d '"' | sort -u)
+  # The accepted solver names: the one name table that both --solver and
+  # the request's "solver" field parse through (kInnerSolverNames in
+  # src/tam/width_partition.cpp) vs the delimited catalog in
+  # docs/service.md, diffed both ways — a solver the docs do not name is
+  # undiscoverable, and a documented name the parser rejects is a lying
+  # runbook.
+  solver_table="$root/src/tam/width_partition.cpp"
+  solver_src=$(sed -n '/kInnerSolverNames\[\] = {/,/^};/p' "$solver_table" |
+                 grep -oE 'InnerSolver::k[A-Za-z]+, "[a-z-]+"' |
+                 grep -oE '"[a-z-]+"' | tr -d '"' | sort -u)
+  if [ -z "$solver_src" ]; then
+    echo "FAIL: no solver names found in kInnerSolverNames ($solver_table)"
+    fail=1
+  fi
   # The markers sit inside one table cell, so extract within the line (a
   # sed address range would run to EOF when begin and end share a line).
   solver_doc=$(sed -n 's/.*<!-- solver-names-begin -->\(.*\)<!-- solver-names-end -->.*/\1/p' \
@@ -214,15 +220,16 @@ if [ -f "$service_doc" ]; then
   fi
   for name in $solver_src; do
     if ! printf '%s\n' "$solver_doc" | grep -qxF "$name"; then
-      echo "FAIL: the CLI parses --solver $name (src/cli/options.cpp) but" \
-           "the delimited solver catalog in docs/service.md omits it"
+      echo "FAIL: solver '$name' is in kInnerSolverNames" \
+           "(src/tam/width_partition.cpp) but the delimited solver catalog" \
+           "in docs/service.md omits it"
       fail=1
     fi
   done
   for name in $solver_doc; do
     if ! printf '%s\n' "$solver_src" | grep -qxF "$name"; then
       echo "FAIL: docs/service.md documents solver '$name', which" \
-           "src/cli/options.cpp does not parse"
+           "kInnerSolverNames (src/tam/width_partition.cpp) does not name"
       fail=1
     fi
   done

@@ -37,6 +37,14 @@ double to_double(const std::string& value, const std::string& flag) {
   }
 }
 
+/// A constraint flag sets its limit; -1 is the request's "off" value, and
+/// on the command line "off" is spelled by leaving the flag out.
+template <typename T>
+T not_off(T limit, const std::string& flag) {
+  if (limit == -1) fail(flag + ": -1 means off; omit the flag instead");
+  return limit;
+}
+
 std::vector<int> to_int_list(const std::string& value, const std::string& flag) {
   std::vector<int> out;
   std::string item;
@@ -53,6 +61,7 @@ std::vector<int> to_int_list(const std::string& value, const std::string& flag) 
 
 CliOptions parse_cli(const std::vector<std::string>& args) {
   CliOptions options;
+  ServiceRequest& request = options.request;
   std::size_t i = 0;
   auto value = [&](const std::string& flag) -> std::string {
     if (i + 1 >= args.size()) fail(flag + " requires a value");
@@ -63,58 +72,35 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     if (arg == "--help" || arg == "-h") {
       options.help = true;
     } else if (arg == "--soc") {
-      options.soc = value(arg);
+      request.soc = value(arg);
     } else if (arg == "--widths") {
-      options.widths = to_int_list(value(arg), arg);
-      for (int w : options.widths) {
-        if (w < 1) fail("--widths: widths must be positive");
-      }
+      request.widths = to_int_list(value(arg), arg);
     } else if (arg == "--buses") {
-      options.buses = to_int(value(arg), arg);
-      if (options.buses < 1) fail("--buses must be positive");
+      request.buses = to_int(value(arg), arg);
     } else if (arg == "--width") {
-      options.total_width = to_int(value(arg), arg);
-      if (options.total_width < 1) fail("--width must be positive");
+      request.total_width = to_int(value(arg), arg);
     } else if (arg == "--dmax") {
-      options.d_max = to_int(value(arg), arg);
+      request.d_max = not_off(to_int(value(arg), arg), arg);
     } else if (arg == "--wire-budget") {
-      options.wire_budget = to_int(value(arg), arg);
+      request.wire_budget = not_off(to_int(value(arg), arg), arg);
     } else if (arg == "--pmax") {
-      options.p_max = to_double(value(arg), arg);
+      request.p_max = not_off(to_double(value(arg), arg), arg);
     } else if (arg == "--ate-depth") {
-      options.ate_depth = to_int(value(arg), arg);
-      if (options.ate_depth < 1) fail("--ate-depth must be positive");
+      request.ate_depth = not_off(to_int(value(arg), arg), arg);
     } else if (arg == "--solver") {
       const std::string name = value(arg);
-      if (name == "exact") {
-        options.solver = InnerSolver::kExact;
-      } else if (name == "ilp") {
-        options.solver = InnerSolver::kIlp;
-      } else if (name == "greedy") {
-        options.solver = InnerSolver::kGreedy;
-      } else if (name == "sa") {
-        options.solver = InnerSolver::kSa;
-      } else if (name == "portfolio") {
-        options.solver = InnerSolver::kPortfolio;
-      } else if (name == "pack") {
-        options.solver = InnerSolver::kPack;
-      } else if (name == "pack-exact") {
-        options.solver = InnerSolver::kPackExact;
-      } else {
-        fail("--solver: unknown solver '" + name + "'");
-      }
+      const auto solver = parse_inner_solver(name);
+      if (!solver) fail("--solver: unknown solver '" + name + "'");
+      request.solver = *solver;
     } else if (arg == "--threads") {
-      options.threads = to_int(value(arg), arg);
-      if (options.threads < 0) fail("--threads must be >= 0 (0 = auto)");
+      request.threads = to_int(value(arg), arg);
     } else if (arg == "--power-mode") {
       const std::string name = value(arg);
-      if (name == "pairwise") {
-        options.power_mode = PowerConstraintMode::kPairwiseSerialization;
-      } else if (name == "busmax") {
-        options.power_mode = PowerConstraintMode::kBusMaxSum;
-      } else {
+      const auto mode = parse_power_mode(name);
+      if (!mode) {
         fail("--power-mode: expected pairwise or busmax, got '" + name + "'");
       }
+      request.power_mode = *mode;
     } else if (arg == "--gantt") {
       options.gantt = true;
     } else if (arg == "--json") {
@@ -141,8 +127,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       options.ledger_path = value(arg);
       if (options.ledger_path.empty()) fail("--ledger: empty path");
     } else if (arg == "--time-limit-ms") {
-      options.time_limit_ms = to_double(value(arg), arg);
-      if (options.time_limit_ms < 0) fail("--time-limit-ms must be >= 0");
+      request.time_limit_ms = not_off(to_double(value(arg), arg), arg);
     } else if (arg == "--failpoints") {
       options.failpoints = value(arg);
       if (options.failpoints.empty()) fail("--failpoints: empty spec");
@@ -153,7 +138,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       options.batch_path = value(arg);
       if (options.batch_path.empty()) fail("--batch: empty path");
     } else if (arg == "--stream") {
-      options.stream = true;
+      request.stream = true;
     } else if (arg == "--retries") {
       options.retries = to_int(value(arg), arg);
       if (options.retries < 0) fail("--retries must be >= 0");
@@ -174,18 +159,18 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       fail("unknown argument '" + arg + "'");
     }
   }
-  if (options.widths.empty() && options.total_width < options.buses) {
-    fail("--width must be at least --buses (one wire per bus)");
+  if (const Status st = validate_request(request); !st.ok()) {
+    fail(st.message());
   }
-  if (options.idle_insertion && (options.solver == InnerSolver::kPack ||
-                                 options.solver == InnerSolver::kPackExact)) {
+  if (options.idle_insertion && (request.solver == InnerSolver::kPack ||
+                                 request.solver == InnerSolver::kPackExact)) {
     fail("--idle-insertion is not supported with --solver pack/pack-exact "
          "(the packing formulation schedules power directly)");
   }
   if (!options.batch_path.empty() && options.client_socket.empty()) {
     fail("--batch requires --client");
   }
-  if (options.stream && options.client_socket.empty()) {
+  if (request.stream && options.client_socket.empty()) {
     fail("--stream requires --client");
   }
   if (options.client_socket.empty() &&

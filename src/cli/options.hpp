@@ -1,31 +1,20 @@
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "tam/width_partition.hpp"
+#include "service/protocol.hpp"
 
 namespace soctest {
 
 /// Parsed command line of the `soctest` tool.
 struct CliOptions {
   bool help = false;
-  /// Path to a .soc file, or one of the built-in names soc1/soc2/soc3.
-  std::string soc = "soc1";
-  /// Explicit widths (--widths 16,8,8); overrides buses/width search.
-  std::vector<int> widths;
-  int buses = 2;
-  int total_width = 32;
-  int d_max = -1;
-  long long wire_budget = -1;
-  double p_max = -1.0;
-  long long ate_depth = -1;
-  InnerSolver solver = InnerSolver::kExact;
-  PowerConstraintMode power_mode = PowerConstraintMode::kPairwiseSerialization;
-  /// Worker threads for the exact solver / portfolio race (--threads).
-  /// 1 = serial; 0 = auto (hardware concurrency, SOCTEST_THREADS override).
-  int threads = 1;
+  /// The solve: --soc, --widths or --buses/--width, the constraint flags,
+  /// --solver, --threads, --time-limit-ms and (client mode) --stream. It is
+  /// the request a client sends (docs/service.md) and passes the same
+  /// validate_request; in client mode it goes out as request_json.
+  ServiceRequest request;
   bool gantt = false;
   bool idle_insertion = false;
   /// Emit a machine-readable JSON design report instead of the text report.
@@ -56,10 +45,6 @@ struct CliOptions {
   /// When non-empty, append one soctest-ledger-v1 JSONL record describing
   /// this solve to the file (--ledger; SOCTEST_LEDGER is the env fallback).
   std::string ledger_path;
-  /// Wall-clock solve budget in milliseconds (--time-limit-ms); < 0 means
-  /// unlimited. With a budget the run is anytime: it returns the best
-  /// incumbent found in time plus a quality certificate (docs/robustness.md).
-  double time_limit_ms = -1.0;
   /// Fault-injection spec (--failpoints "site=action[:hit],..."); empty means
   /// no faults armed. See docs/robustness.md for the site catalog.
   std::string failpoints;
@@ -72,9 +57,6 @@ struct CliOptions {
   /// FILE; "-" reads stdin). Without it, client mode sends one request
   /// built from the solve flags above.
   std::string batch_path;
-  /// Client mode: set "stream":true on the flag-built request, printing
-  /// soctest-partial-v1 incumbent lines before the final response.
-  bool stream = false;
   /// Client mode: per-request retry budget beyond the first attempt
   /// (--retries N). 0 keeps the old fail-fast behavior; with retries the
   /// client reconnects on drops, replays unanswered requests, and honors

@@ -7,7 +7,6 @@
 
 #include <fstream>
 
-#include "common/parallel.hpp"
 #include "layout/stub_router.hpp"
 #include "obs/ledger.hpp"
 #include "obs/obs.hpp"
@@ -23,23 +22,14 @@
 #include "sched/schedule.hpp"
 #include "service/protocol.hpp"
 #include "service/retry.hpp"
+#include "service/server.hpp"
 #include "service/transport.hpp"
-#include "soc/builtin.hpp"
-#include "soc/soc_format.hpp"
 #include "tam/architect.hpp"
 #include "tam/timing.hpp"
 
 namespace soctest {
 
 namespace {
-
-StatusOr<Soc> load_soc(const std::string& name) {
-  if (name == "soc1") return builtin_soc1();
-  if (name == "soc2") return builtin_soc2();
-  if (name == "soc3") return builtin_soc3();
-  if (name == "soc4") return builtin_soc4();
-  return parse_soc_file(name);
-}
 
 /// Exit code for a run that ended without a usable result: why it stopped
 /// decides between plain infeasibility and the interruption codes.
@@ -55,6 +45,18 @@ int exit_code_for_stop(StopReason stop) {
   }
 }
 
+/// Writes `body` to `path`. The report-write failpoint turns the write into
+/// an injected fault.
+Status write_report(const std::string& path, const std::string& body) {
+  if (failpoint::armed() && failpoint::hit(failpoint::sites::kReportWrite)) {
+    return fault_injected_error("injected fault writing " + path);
+  }
+  std::ofstream file(path);
+  if (!file) return io_error("cannot write " + path);
+  file << body;
+  return Status::Ok();
+}
+
 /// Disarms CLI-requested failpoints when the run ends, whichever path it
 /// takes out of run_cli.
 struct FailpointGuard {
@@ -64,71 +66,54 @@ struct FailpointGuard {
   }
 };
 
-/// What the run ledger needs to know about the solve, filled by run_design
-/// as a side channel (the CliResult itself is exit code + text only).
-struct SolveSummary {
-  std::vector<int> widths;
-  bool feasible = false;
-  std::string status = "error";  ///< overwritten once a certificate exists
-  double gap = -1.0;
-  long long t_cycles = -1;
-  /// search_mode_name() of the winning solve ("serial", "parallel", "-").
-  std::string solve_mode = "-";
-};
-
 /// The actual design flow; run_cli wraps it with the observability session.
-CliResult run_design(const CliOptions& options,
-                     SolveSummary* summary = nullptr) {
+/// `outcome` receives the solve's answer for the run ledger, mapped as the
+/// service maps it (a failure before or outside the solve leaves it !ok).
+CliResult run_design(const CliOptions& options, SolveOutcome* outcome) {
   CliResult result;
   std::ostringstream out;
+  // Ends the run with `exit_code` and everything written so far.
+  const auto finish = [&](int exit_code) {
+    result.exit_code = exit_code;
+    result.output = out.str();
+    return result;
+  };
+  const auto fail = [&](const Status& st) {
+    out << "error: " << st.to_string() << "\n";
+    return finish(exit_code_for(st));
+  };
+  const ServiceRequest& solve = options.request;
   try {
-    StatusOr<Soc> loaded = load_soc(options.soc);
-    if (!loaded.ok()) {
-      out << "error: " << loaded.status().to_string() << "\n";
-      result.exit_code = exit_code_for(loaded.status());
-      result.output = out.str();
-      return result;
-    }
+    StatusOr<Soc> loaded = load_request_soc(solve);
+    if (!loaded.ok()) return fail(loaded.status());
     const Soc soc = loaded.take();
 
-    DesignRequest request;
-    request.bus_widths = options.widths;
-    request.num_buses = options.buses;
-    request.total_width = options.total_width;
-    request.d_max = options.d_max;
-    request.wire_budget = options.wire_budget;
-    request.solver = options.solver;
-    request.threads = options.threads;
+    DesignRequest request = design_request_for(solve);
     // With idle insertion, power is handled at the schedule level, so the
     // assignment itself is solved unconstrained in power — and a packed
     // formulation winner would bypass the scheduler, so the race is off.
-    if (!options.idle_insertion) request.p_max_mw = options.p_max;
-    request.pack_race = !(options.idle_insertion && options.p_max >= 0);
-    request.power_mode = options.power_mode;
-    request.ate_depth_limit = options.ate_depth;
-    if (options.time_limit_ms >= 0) {
-      request.deadline = Deadline::after_ms(options.time_limit_ms);
+    if (options.idle_insertion) {
+      request.p_max_mw = -1.0;
+      request.pack_race = solve.p_max < 0;
+    }
+    if (solve.time_limit_ms >= 0) {
+      request.deadline = Deadline::after_ms(solve.time_limit_ms);
     }
 
-    const DesignResult design = design_architecture(soc, request);
-    if (summary != nullptr) {
-      summary->widths = design.bus_widths;
-      summary->feasible = design.feasible;
-      summary->status = solve_status_name(design.certificate.status);
-      summary->gap = design.certificate.gap();
-      summary->t_cycles =
-          design.feasible ? static_cast<long long>(design.assignment.makespan)
-                          : -1;
-      summary->solve_mode = search_mode_name(design.search_mode);
+    DesignResult design;
+    try {
+      design = design_architecture(soc, request);
+    } catch (const std::exception& e) {
+      *outcome = solve_outcome(e);
+      throw;
     }
+    *outcome = solve_outcome(design);
     if (!options.json) out << describe_design(soc, request, design);
     if (!design.feasible) {
       if (options.json) out << design_report_json(soc, request, design) << "\n";
-      result.exit_code = design.certificate.status == SolveStatus::kError
-                             ? kExitInternal
-                             : exit_code_for_stop(design.stop);
-      result.output = out.str();
-      return result;
+      return finish(design.certificate.status == SolveStatus::kError
+                        ? kExitInternal
+                        : exit_code_for_stop(design.stop));
     }
 
     // Realize the schedule.
@@ -161,10 +146,10 @@ CliResult run_design(const CliOptions& options,
       const TestTimeTable& table = cached_test_time_table(soc, max_width);
       const TamProblem problem = make_tam_problem(
           soc, table, design.bus_widths, nullptr, -1,
-          options.idle_insertion ? -1.0 : options.p_max, options.power_mode);
-      if (options.idle_insertion && options.p_max >= 0) {
+          request.p_max_mw, request.power_mode);
+      if (options.idle_insertion && solve.p_max >= 0) {
         PowerScheduleOptions sched_options;
-        sched_options.p_max_mw = options.p_max;
+        sched_options.p_max_mw = solve.p_max;
         // The scheduler shares the run's wall-clock budget (Deadline is an
         // absolute point in time, so solve time already spent counts).
         sched_options.deadline = request.deadline;
@@ -172,9 +157,7 @@ CliResult run_design(const CliOptions& options,
             problem, soc, design.assignment.core_to_bus, sched_options);
         if (!ps.feasible) {
           out << "idle-insertion scheduling failed: " << ps.error << "\n";
-          result.exit_code = exit_code_for_stop(ps.stop);
-          result.output = out.str();
-          return result;
+          return finish(exit_code_for_stop(ps.stop));
         }
         schedule = ps.schedule;
         if (!options.json) {
@@ -186,12 +169,12 @@ CliResult run_design(const CliOptions& options,
         schedule = build_schedule(problem, design.assignment.core_to_bus);
       }
     }
-    if (options.p_max >= 0 && !options.json) {
+    if (solve.p_max >= 0 && !options.json) {
       const double peak = compute_power_profile(soc, schedule).peak();
-      out << "schedule peak power: " << peak << " mW (budget " << options.p_max
+      out << "schedule peak power: " << peak << " mW (budget " << solve.p_max
           << " mW) -> "
-          << (check_power(soc, schedule, options.p_max).empty() ? "OK"
-                                                                : "VIOLATION")
+          << (check_power(soc, schedule, solve.p_max).empty() ? "OK"
+                                                              : "VIOLATION")
           << "\n";
     }
     if (options.json) {
@@ -201,9 +184,7 @@ CliResult run_design(const CliOptions& options,
     if (!options.svg_path.empty()) {
       if (!soc.has_placement()) {
         out << "error: --svg requires a placed SOC\n";
-        result.exit_code = 2;
-        result.output = out.str();
-        return result;
+        return finish(kExitUsage);
       }
       std::optional<BusPlan> plan;
       std::optional<StubRoutes> stubs;
@@ -211,25 +192,10 @@ CliResult run_design(const CliOptions& options,
         plan = design.bus_plan;
         stubs = route_stubs(soc, *plan, design.assignment.core_to_bus);
       }
-      if (failpoint::armed() &&
-          failpoint::hit(failpoint::sites::kReportWrite)) {
-        const Status st =
-            fault_injected_error("injected fault writing " + options.svg_path);
-        out << "error: " << st.to_string() << "\n";
-        result.exit_code = exit_code_for(st);
-        result.output = out.str();
-        return result;
-      }
-      std::ofstream svg_file(options.svg_path);
-      if (!svg_file) {
-        const Status st = io_error("cannot write " + options.svg_path);
-        out << "error: " << st.to_string() << "\n";
-        result.exit_code = exit_code_for(st);
-        result.output = out.str();
-        return result;
-      }
-      svg_file << render_floorplan_svg(soc, plan ? &*plan : nullptr,
-                                       stubs ? &*stubs : nullptr);
+      const Status st = write_report(
+          options.svg_path, render_floorplan_svg(soc, plan ? &*plan : nullptr,
+                                                 stubs ? &*stubs : nullptr));
+      if (!st.ok()) return fail(st);
       if (!options.json) out << "wrote " << options.svg_path << "\n";
     }
   } catch (const std::invalid_argument& e) {
@@ -306,21 +272,8 @@ CliResult run_client(const CliOptions& options) {
       }
     }
   } else {
-    ServiceRequest request;
+    ServiceRequest request = options.request;
     request.id = "cli";
-    request.soc = options.soc;
-    request.widths = options.widths;
-    request.buses = options.buses;
-    request.total_width = options.total_width;
-    request.d_max = options.d_max;
-    request.wire_budget = options.wire_budget;
-    request.p_max = options.p_max;
-    request.power_mode = options.power_mode;
-    request.ate_depth = options.ate_depth;
-    request.solver = options.solver;
-    request.threads = options.threads;
-    request.time_limit_ms = options.time_limit_ms;
-    request.stream = options.stream;
     if (options.trace_sample > 0) {
       request.trace_id = client_trace_id(0);
       request.trace_parent =
@@ -411,14 +364,15 @@ CliResult run_cli(const CliOptions& options) {
                        !options.trace_chrome_path.empty();
   if (!tracing && !options.metrics && ledger_path.empty()) {
     // The untraced fast path: no sink, no session, no span bookkeeping.
-    return client_mode ? run_client(options) : run_design(options);
+    SolveOutcome outcome;  // only the ledger reads it
+    return client_mode ? run_client(options) : run_design(options, &outcome);
   }
 
   // One sink/session per CLI run; a null sink collects counters only.
   obs::TraceSink sink;
   obs::TraceSession session(tracing ? &sink : nullptr);
   CliResult result;
-  SolveSummary summary;
+  SolveOutcome outcome;
   const auto wall_start = std::chrono::steady_clock::now();
   if (client_mode) {
     // No cli.run root span: the client's spans (client.request /
@@ -426,29 +380,21 @@ CliResult run_cli(const CliOptions& options) {
     // cross-process guid links are the only parentage trace-merge sees.
     result = run_client(options);
   } else {
-    obs::Span root("cli.run", {{"soc", options.soc}});
-    result = run_design(options, &summary);
+    obs::Span root("cli.run", {{"soc", options.request.soc}});
+    result = run_design(options, &outcome);
     if (root.active()) root.arg({"exit_code", result.exit_code});
   }
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - wall_start)
                              .count();
 
-  auto write_file = [&](const std::string& path, const std::string& body) {
-    Status st = Status::Ok();
-    if (failpoint::armed() && failpoint::hit(failpoint::sites::kReportWrite)) {
-      st = fault_injected_error("injected fault writing " + path);
-    }
-    if (st.ok()) {
-      std::ofstream file(path);
-      if (file) {
-        file << body << "\n";
-        return;
-      }
-      st = io_error("cannot write " + path);
-    }
+  const auto report_failure = [&](const Status& st) {
+    if (st.ok()) return;
     result.output += "error: " + st.to_string() + "\n";
     result.exit_code = exit_code_for(st);
+  };
+  auto write_file = [&](const std::string& path, const std::string& body) {
+    report_failure(write_report(path, body + "\n"));
   };
   if (!options.trace_path.empty()) {
     write_file(options.trace_path,
@@ -476,18 +422,8 @@ CliResult run_cli(const CliOptions& options) {
     result.output += options.json ? metrics_json() + "\n" : metrics_text();
   }
   if (!ledger_path.empty()) {
-    obs::LedgerRecord record;
-    record.soc = options.soc;
-    record.widths = summary.widths;
-    record.solver = inner_solver_name(options.solver);
-    record.threads_configured = options.threads;
-    record.threads_effective = resolve_thread_count(options.threads);
-    record.feasible = summary.feasible;
-    record.status = summary.status;
-    record.gap = summary.gap;
-    record.t_cycles = summary.t_cycles;
-    record.solve_mode = summary.solve_mode;
-    record.wall_ms = wall_ms;
+    obs::LedgerRecord record =
+        ledger_record_for(options.request, outcome, wall_ms);
     record.exit_code = result.exit_code;
     obs::fill_ledger_counters(record);
     Status st = Status::Ok();
@@ -498,10 +434,7 @@ CliResult run_cli(const CliOptions& options) {
     if (st.ok() && !obs::append_ledger_record(ledger_path, record, &io_message)) {
       st = io_error("cannot append ledger record: " + io_message);
     }
-    if (!st.ok()) {
-      result.output += "error: " + st.to_string() + "\n";
-      result.exit_code = exit_code_for(st);
-    }
+    report_failure(st);
   }
   return result;
 }

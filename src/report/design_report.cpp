@@ -33,10 +33,7 @@ std::string design_report_json(const Soc& soc, const DesignRequest& request,
   }
   if (request.p_max_mw >= 0) {
     w.key("p_max_mw").value(request.p_max_mw);
-    w.key("power_mode")
-        .value(request.power_mode == PowerConstraintMode::kBusMaxSum
-                   ? "busmax"
-                   : "pairwise");
+    w.key("power_mode").value(power_mode_name(request.power_mode));
   }
   if (request.ate_depth_limit >= 0) {
     w.key("ate_depth").value(static_cast<long long>(request.ate_depth_limit));

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 
 #include "common/sharded_cache.hpp"
@@ -11,30 +12,27 @@ namespace soctest {
 
 namespace {
 
-/// Integer-valued JSON number, rejecting fractions ("widths":[16.5] is a
-/// client bug worth a loud error, not a silent truncation).
-bool as_int(const JsonValue& value, long long* out) {
+/// Integer-valued JSON number that `T` can hold. Fractions are rejected
+/// ("widths":[16.5] is a client bug worth a loud error, not a silent
+/// truncation), and so are values past T's range (a wrapped 2^32 + 2 must
+/// not pass as 2).
+template <typename T>
+bool as_int(const JsonValue& value, T* out) {
   if (!value.is_number()) return false;
-  if (value.number != std::floor(value.number)) return false;
-  *out = static_cast<long long>(value.number);
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double x = value.number;
+  if (x != std::floor(x) || x < -limit || x >= limit) return false;
+  *out = static_cast<T>(x);
   return true;
 }
+
+constexpr const char* kInteger = "expected an integer";
 
 Status bad_field(const std::string& name, const std::string& why) {
   return invalid_argument_error("request field '" + name + "': " + why);
 }
 
 }  // namespace
-
-const char* power_mode_name(PowerConstraintMode mode) {
-  switch (mode) {
-    case PowerConstraintMode::kPairwiseSerialization:
-      return "pairwise";
-    case PowerConstraintMode::kBusMaxSum:
-      return "busmax";
-  }
-  return "pairwise";
-}
 
 StatusOr<ServiceRequest> parse_request(const std::string& line) {
   std::string error;
@@ -51,7 +49,6 @@ StatusOr<ServiceRequest> parse_request(const std::string& line) {
 
   ServiceRequest request;
   for (const auto& [name, value] : doc->members) {
-    long long n = 0;
     if (name == "schema") {
       continue;
     } else if (name == "id") {
@@ -65,82 +62,45 @@ StatusOr<ServiceRequest> parse_request(const std::string& line) {
       request.soc_text = value.text;
     } else if (name == "widths") {
       if (!value.is_array()) return bad_field(name, "expected an array");
-      if (value.items.size() > static_cast<std::size_t>(kMaxRequestBuses)) {
-        return bad_field(name, "more than " + std::to_string(kMaxRequestBuses) +
-                                   " buses");
+      if (value.items.empty()) return bad_field(name, "empty list");
+      for (const JsonValue& item : value.items) {
+        int width = 0;
+        if (!as_int(item, &width)) return bad_field(name, "expected integers");
+        request.widths.push_back(width);
       }
-      for (const JsonValue& w : value.items) {
-        if (!as_int(w, &n) || n < 1 || n > kMaxRequestWidth) {
-          return bad_field(name, "widths must be integers in [1, " +
-                                     std::to_string(kMaxRequestWidth) + "]");
-        }
-        request.widths.push_back(static_cast<int>(n));
-      }
-      if (request.widths.empty()) return bad_field(name, "empty list");
     } else if (name == "buses") {
-      if (!as_int(value, &n) || n < 1 || n > kMaxRequestBuses) {
-        return bad_field(name, "expected an integer in [1, " +
-                                   std::to_string(kMaxRequestBuses) + "]");
-      }
-      request.buses = static_cast<int>(n);
+      if (!as_int(value, &request.buses)) return bad_field(name, kInteger);
     } else if (name == "width") {
-      if (!as_int(value, &n) || n < 1 || n > kMaxRequestWidth) {
-        return bad_field(name, "expected an integer in [1, " +
-                                   std::to_string(kMaxRequestWidth) + "]");
-      }
-      request.total_width = static_cast<int>(n);
+      if (!as_int(value, &request.total_width)) return bad_field(name, kInteger);
     } else if (name == "dmax") {
-      if (!as_int(value, &n)) return bad_field(name, "expected an integer");
-      request.d_max = static_cast<int>(n);
+      if (!as_int(value, &request.d_max)) return bad_field(name, kInteger);
     } else if (name == "wire_budget") {
-      if (!as_int(value, &n)) return bad_field(name, "expected an integer");
-      request.wire_budget = n;
+      if (!as_int(value, &request.wire_budget)) return bad_field(name, kInteger);
     } else if (name == "pmax") {
       if (!value.is_number()) return bad_field(name, "expected a number");
       request.p_max = value.number;
     } else if (name == "power_mode") {
       if (!value.is_string()) return bad_field(name, "expected a string");
-      if (value.text == "pairwise") {
-        request.power_mode = PowerConstraintMode::kPairwiseSerialization;
-      } else if (value.text == "busmax") {
-        request.power_mode = PowerConstraintMode::kBusMaxSum;
-      } else {
-        return bad_field(name, "expected pairwise or busmax");
-      }
+      const auto mode = parse_power_mode(value.text);
+      if (!mode) return bad_field(name, "expected pairwise or busmax");
+      request.power_mode = *mode;
     } else if (name == "ate_depth") {
-      if (!as_int(value, &n)) return bad_field(name, "expected an integer");
-      request.ate_depth = n;
+      if (!as_int(value, &request.ate_depth)) return bad_field(name, kInteger);
     } else if (name == "solver") {
       if (!value.is_string()) return bad_field(name, "expected a string");
-      if (value.text == "exact") {
-        request.solver = InnerSolver::kExact;
-      } else if (value.text == "ilp") {
-        request.solver = InnerSolver::kIlp;
-      } else if (value.text == "greedy") {
-        request.solver = InnerSolver::kGreedy;
-      } else if (value.text == "sa") {
-        request.solver = InnerSolver::kSa;
-      } else if (value.text == "portfolio") {
-        request.solver = InnerSolver::kPortfolio;
-      } else if (value.text == "pack") {
-        request.solver = InnerSolver::kPack;
-      } else if (value.text == "pack-exact") {
-        request.solver = InnerSolver::kPackExact;
-      } else {
+      const auto solver = parse_inner_solver(value.text);
+      if (!solver) {
         return bad_field(name, "unknown solver '" + value.text + "'");
       }
+      request.solver = *solver;
     } else if (name == "seed") {
-      if (!as_int(value, &n) || n < 0) {
+      long long seed = 0;
+      if (!as_int(value, &seed) || seed < 0) {
         return bad_field(name, "expected a non-negative integer");
       }
-      request.seed = static_cast<std::uint64_t>(n);
+      request.seed = static_cast<std::uint64_t>(seed);
     } else if (name == "threads") {
-      if (!as_int(value, &n) || n < 0 || n > kMaxRequestThreads) {
-        return bad_field(name, "expected an integer in [0, " +
-                                   std::to_string(kMaxRequestThreads) +
-                                   "] (0 = auto)");
-      }
-      request.threads = static_cast<int>(n);
+      if (!as_int(value, &request.threads)) return bad_field(name, kInteger);
     } else if (name == "time_limit_ms") {
       if (!value.is_number()) return bad_field(name, "expected a number");
       request.time_limit_ms = value.number;
@@ -175,11 +135,54 @@ StatusOr<ServiceRequest> parse_request(const std::string& line) {
       return invalid_argument_error("unknown request field '" + name + "'");
     }
   }
-  if (request.widths.empty() && request.total_width < request.buses) {
-    return invalid_argument_error(
+  if (Status st = validate_request(request); !st.ok()) return st;
+  return request;
+}
+
+namespace {
+
+/// Ok when `value` lies in [min, max], else the range error naming `field`.
+Status in_range(const char* field, double value, long long min,
+                long long max) {
+  if (value >= min && value <= max) return Status::Ok();
+  return bad_field(field, "expected an integer in [" + std::to_string(min) +
+                              ", " + std::to_string(max) + "]");
+}
+
+/// Ok when an optional limit is exactly -1 (off), or finite and at least
+/// `min`; else the range error naming `field`.
+Status off_or_at_least(const char* field, double value, long long min) {
+  if (value == -1.0 || (std::isfinite(value) && value >= min)) {
+    return Status::Ok();
+  }
+  return bad_field(field, "expected -1 (off) or a finite value >= " +
+                              std::to_string(min));
+}
+
+}  // namespace
+
+Status validate_request(const ServiceRequest& r) {
+  if (r.widths.size() > static_cast<std::size_t>(kMaxRequestBuses)) {
+    return bad_field("widths", "more than " + std::to_string(kMaxRequestBuses) +
+                                   " buses");
+  }
+  Status st = Status::Ok();
+  for (std::size_t i = 0; st.ok() && i < r.widths.size(); ++i) {
+    st = in_range("widths", r.widths[i], 1, kMaxRequestWidth);
+  }
+  if (st.ok()) st = in_range("buses", r.buses, 1, kMaxRequestBuses);
+  if (st.ok()) st = in_range("width", r.total_width, 1, kMaxRequestWidth);
+  if (st.ok()) st = in_range("threads", r.threads, 0, kMaxRequestThreads);
+  if (st.ok()) st = off_or_at_least("dmax", r.d_max, 0);
+  if (st.ok()) st = off_or_at_least("wire_budget", double(r.wire_budget), 0);
+  if (st.ok()) st = off_or_at_least("pmax", r.p_max, 0);
+  if (st.ok()) st = off_or_at_least("ate_depth", double(r.ate_depth), 1);
+  if (st.ok()) st = off_or_at_least("time_limit_ms", r.time_limit_ms, 0);
+  if (st.ok() && r.widths.empty() && r.total_width < r.buses) {
+    st = invalid_argument_error(
         "width must be at least buses (one wire per bus)");
   }
-  return request;
+  return st;
 }
 
 std::string request_json(const ServiceRequest& request) {
@@ -287,21 +290,36 @@ ClientBatchSummary summarize_client_batch(
   return summary;
 }
 
+namespace {
+
+/// Opens a soctest-resp-v1 object and writes its shared head: schema, id,
+/// trace_id (omitted when empty), ok, the error object of a failure, and
+/// cached. The caller appends its own tail and closes the object.
+void begin_response(JsonWriter& w, const std::string& id,
+                    const std::string& trace_id, bool ok,
+                    std::string_view error_code,
+                    std::string_view error_message, bool cached) {
+  w.begin_object();
+  w.key("schema").value(kResponseSchema);
+  w.key("id").value(id);
+  if (!trace_id.empty()) w.key("trace_id").value(trace_id);
+  w.key("ok").value(ok);
+  if (!ok) {
+    w.key("error").begin_object();
+    w.key("code").value(error_code);
+    w.key("message").value(error_message);
+    w.end_object();
+  }
+  w.key("cached").value(cached);
+}
+
+}  // namespace
+
 std::string response_json(const SolveOutcome& outcome,
                           const ResponseMeta& meta) {
   JsonWriter w;
-  w.begin_object();
-  w.key("schema").value(kResponseSchema);
-  w.key("id").value(meta.id);
-  if (!meta.trace_id.empty()) w.key("trace_id").value(meta.trace_id);
-  w.key("ok").value(outcome.ok);
-  if (!outcome.ok) {
-    w.key("error").begin_object();
-    w.key("code").value(outcome.error_code);
-    w.key("message").value(outcome.error_message);
-    w.end_object();
-  }
-  w.key("cached").value(meta.cached);
+  begin_response(w, meta.id, meta.trace_id, outcome.ok, outcome.error_code,
+                 outcome.error_message, meta.cached);
   if (outcome.ok) {
     w.key("feasible").value(outcome.feasible);
     w.key("status").value(outcome.status);
@@ -325,16 +343,8 @@ std::string error_response_json(const std::string& id, const Status& status,
                                 bool include_timing, double wall_ms,
                                 const std::string& trace_id) {
   JsonWriter w;
-  w.begin_object();
-  w.key("schema").value(kResponseSchema);
-  w.key("id").value(id);
-  if (!trace_id.empty()) w.key("trace_id").value(trace_id);
-  w.key("ok").value(false);
-  w.key("error").begin_object();
-  w.key("code").value(status_code_name(status.code()));
-  w.key("message").value(status.message());
-  w.end_object();
-  w.key("cached").value(false);
+  begin_response(w, id, trace_id, false, status_code_name(status.code()),
+                 status.message(), false);
   if (include_timing) w.key("wall_ms").value(wall_ms);
   w.end_object();
   return w.str();
@@ -395,16 +405,9 @@ std::string rejection_json(const std::string& id, double retry_after_ms,
                            const std::string& message,
                            const std::string& trace_id) {
   JsonWriter w;
-  w.begin_object();
-  w.key("schema").value(kResponseSchema);
-  w.key("id").value(id);
-  if (!trace_id.empty()) w.key("trace_id").value(trace_id);
-  w.key("ok").value(false);
-  w.key("error").begin_object();
-  w.key("code").value(status_code_name(StatusCode::kResourceExhausted));
-  w.key("message").value(message);
-  w.end_object();
-  w.key("cached").value(false);
+  begin_response(w, id, trace_id, false,
+                 status_code_name(StatusCode::kResourceExhausted), message,
+                 false);
   w.key("retry_after_ms").value(retry_after_ms);
   w.end_object();
   return w.str();

@@ -44,7 +44,7 @@ inline constexpr const char* kStatsSchema = "soctest-stats-v1";
 /// line and discard bytes until the next newline resynchronizes the stream.
 inline constexpr std::size_t kMaxProtocolLineBytes = 32u << 20;
 
-/// Sanity bounds on request fields, enforced by parse_request. They exist
+/// Sanity bounds on request fields, enforced by validate_request. They exist
 /// for robustness, not modeling: a fuzzer (or a hostile client) can write
 /// "width": 99999999 and the per-width staircase tables would try to
 /// allocate it. Real designs sit orders of magnitude below these.
@@ -96,8 +96,19 @@ struct ServiceRequest {
 /// Parses one request line. Unknown members are rejected (they are most
 /// likely typos of a knob the caller believes it set); a malformed line is
 /// a kParseError, a structurally valid object with bad field values is a
-/// kInvalidArgument. Never throws.
+/// kInvalidArgument. Field types are checked here, ranges by
+/// validate_request. Never throws.
 StatusOr<ServiceRequest> parse_request(const std::string& line);
+
+/// The one range check of a solve request, shared by parse_request and the
+/// CLI's parse_cli (docs/service.md). An optional constraint (dmax,
+/// wire_budget, pmax, ate_depth, time_limit_ms) is exactly -1 (off) or in
+/// range: dmax, wire_budget >= 0; pmax, time_limit_ms finite and >= 0;
+/// ate_depth >= 1. widths lie in [1, kMaxRequestWidth], at most
+/// kMaxRequestBuses of them; buses in [1, kMaxRequestBuses]; width in
+/// [1, kMaxRequestWidth] and, when searching, at least buses; threads in
+/// [0, kMaxRequestThreads]. A failure is kInvalidArgument naming the field.
+Status validate_request(const ServiceRequest& request);
 
 /// The request back as its canonical soctest-req-v1 line (used by the CLI
 /// client to build requests from flags).
@@ -174,8 +185,6 @@ bool parse_pong(const std::string& line, std::string* id);
 /// streams stay deterministic). The offender's id is unknowable — the line
 /// was discarded unparsed — so the id is empty.
 std::string oversized_line_response_json();
-
-const char* power_mode_name(PowerConstraintMode mode);
 
 /// One streamed incumbent improvement (soctest-partial-v1). `seq` starts
 /// at 1 and increments per partial of the same request; `t_cycles` is

@@ -25,6 +25,16 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
+/// Best-effort id recovery from a line parse_request rejected, so even the
+/// error response for a half-broken request can be matched by the client.
+std::string recover_id(const std::string& line) {
+  const auto doc = parse_json(line);
+  if (doc && doc->is_object()) return doc->string_or("id", "");
+  return "";
+}
+
+}  // namespace
+
 StatusOr<Soc> load_request_soc(const ServiceRequest& request) {
   if (!request.soc_text.empty()) {
     return parse_soc_string(request.soc_text,
@@ -37,77 +47,82 @@ StatusOr<Soc> load_request_soc(const ServiceRequest& request) {
   return parse_soc_file(request.soc);
 }
 
-/// Best-effort id recovery from a line parse_request rejected, so even the
-/// error response for a half-broken request can be matched by the client.
-std::string recover_id(const std::string& line) {
-  const auto doc = parse_json(line);
-  if (doc && doc->is_object()) return doc->string_or("id", "");
-  return "";
+DesignRequest design_request_for(const ServiceRequest& request) {
+  DesignRequest design_request;
+  design_request.bus_widths = request.widths;
+  design_request.num_buses = request.buses;
+  design_request.total_width = request.total_width;
+  design_request.d_max = request.d_max;
+  design_request.wire_budget = request.wire_budget;
+  design_request.p_max_mw = request.p_max;
+  design_request.power_mode = request.power_mode;
+  design_request.ate_depth_limit = request.ate_depth;
+  design_request.solver = request.solver;
+  design_request.threads = request.threads;
+  return design_request;
 }
 
-/// Runs the actual design flow for one admitted request. Never throws:
-/// every failure becomes an ok=false outcome.
-SolveOutcome solve_request(const ServiceRequest& request, const Soc& soc,
-                           const CancellationToken* cancel,
-                           double effective_time_limit_ms,
-                           const ProgressFn& progress) {
+SolveOutcome solve_outcome(const DesignResult& design) {
   SolveOutcome outcome;
-  try {
-    DesignRequest design_request;
-    design_request.progress = progress;
-    design_request.bus_widths = request.widths;
-    design_request.num_buses = request.buses;
-    design_request.total_width = request.total_width;
-    design_request.d_max = request.d_max;
-    design_request.wire_budget = request.wire_budget;
-    design_request.p_max_mw = request.p_max;
-    design_request.power_mode = request.power_mode;
-    design_request.ate_depth_limit = request.ate_depth;
-    design_request.solver = request.solver;
-    design_request.threads = request.threads;
-    design_request.cancel = cancel;
-    if (effective_time_limit_ms >= 0) {
-      design_request.deadline = Deadline::after_ms(effective_time_limit_ms);
-    }
-    const DesignResult design = design_architecture(soc, design_request);
-    if (design.certificate.status == SolveStatus::kError) {
-      outcome.error_code = status_code_name(StatusCode::kInternal);
-      outcome.error_message = design.certificate.error.empty()
-                                  ? "solve failed"
-                                  : design.certificate.error;
-      return outcome;
-    }
-    outcome.ok = true;
-    outcome.feasible = design.feasible;
-    outcome.status = solve_status_name(design.certificate.status);
-    outcome.stop = stop_reason_name(design.stop);
-    outcome.widths = design.bus_widths;
-    outcome.t_cycles =
-        design.feasible ? static_cast<long long>(design.assignment.makespan)
-                        : -1;
-    outcome.lower_bound = design.certificate.lower_bound;
-    outcome.gap = design.certificate.gap();
-    outcome.solve_mode = search_mode_name(design.search_mode);
-  } catch (const std::invalid_argument& e) {
-    outcome.ok = false;
-    outcome.error_code = status_code_name(StatusCode::kInvalidArgument);
-    outcome.error_message = e.what();
-  } catch (const std::runtime_error& e) {
-    // The architect throws std::runtime_error for structurally infeasible
-    // constraint sets — a legitimate (and deterministic) solve answer.
-    outcome.ok = true;
-    outcome.feasible = false;
-    outcome.status = solve_status_name(SolveStatus::kInfeasible);
-    outcome.stop = stop_reason_name(StopReason::kNone);
-  } catch (const std::exception& e) {
-    outcome.ok = false;
+  if (design.certificate.status == SolveStatus::kError) {
     outcome.error_code = status_code_name(StatusCode::kInternal);
-    outcome.error_message = e.what();
+    outcome.error_message = design.certificate.error.empty()
+                                ? "solve failed"
+                                : design.certificate.error;
+    return outcome;
   }
+  outcome.ok = true;
+  outcome.feasible = design.feasible;
+  outcome.status = solve_status_name(design.certificate.status);
+  outcome.stop = stop_reason_name(design.stop);
+  outcome.widths = design.bus_widths;
+  outcome.t_cycles =
+      design.feasible ? static_cast<long long>(design.assignment.makespan)
+                      : -1;
+  outcome.lower_bound = design.certificate.lower_bound;
+  outcome.gap = design.certificate.gap();
+  outcome.solve_mode = search_mode_name(design.search_mode);
   return outcome;
 }
 
-}  // namespace
+SolveOutcome solve_outcome(const std::exception& error) {
+  SolveOutcome outcome;
+  if (dynamic_cast<const std::runtime_error*>(&error) != nullptr) {
+    // A legitimate (and deterministic) solve answer, not a failure.
+    outcome.ok = true;
+    outcome.status = solve_status_name(SolveStatus::kInfeasible);
+    outcome.stop = stop_reason_name(StopReason::kNone);
+    return outcome;
+  }
+  const bool bad_input =
+      dynamic_cast<const std::invalid_argument*>(&error) != nullptr;
+  outcome.error_code = status_code_name(bad_input ? StatusCode::kInvalidArgument
+                                                  : StatusCode::kInternal);
+  outcome.error_message = error.what();
+  return outcome;
+}
+
+obs::LedgerRecord ledger_record_for(const ServiceRequest& request,
+                                    const SolveOutcome& outcome,
+                                    double wall_ms) {
+  obs::LedgerRecord record;
+  record.soc = request.soc_text.empty() ? request.soc : "<inline>";
+  record.widths = outcome.widths;
+  record.solver = inner_solver_name(request.solver);
+  record.seed = request.seed;
+  record.threads_configured = request.threads;
+  record.threads_effective = resolve_thread_count(request.threads);
+  record.feasible = outcome.feasible;
+  record.status = outcome.ok ? outcome.status : "error";
+  record.gap = outcome.gap;
+  record.t_cycles = outcome.t_cycles;
+  record.solve_mode = outcome.solve_mode;
+  record.wall_ms = wall_ms;
+  record.trace_id = request.trace_id;
+  record.exit_code = outcome.ok ? (outcome.feasible ? 0 : kExitInfeasible)
+                                : kExitInternal;
+  return record;
+}
 
 struct SolveService::Job {
   ServiceRequest request;
@@ -292,9 +307,18 @@ std::string SolveService::execute(
     };
   }
 
+  // Runs the design flow; never throws: every failure becomes an outcome.
   CancellationToken cancel;
-  SolveOutcome outcome =
-      solve_request(request, soc, &cancel, limit_ms, progress);
+  SolveOutcome outcome;
+  try {
+    DesignRequest design_request = design_request_for(request);
+    design_request.progress = progress;
+    design_request.cancel = &cancel;
+    if (limit_ms >= 0) design_request.deadline = Deadline::after_ms(limit_ms);
+    outcome = solve_outcome(design_architecture(soc, design_request));
+  } catch (const std::exception& e) {
+    outcome = solve_outcome(e);
+  }
   if (outcome.ok) {
     obs::counter("service.requests.ok").add();
   } else {
@@ -317,24 +341,10 @@ void SolveService::append_service_ledger(const ServiceRequest& request,
                                          const SolveOutcome& outcome,
                                          double wall_ms) {
   if (config_.ledger_path.empty()) return;
-  obs::LedgerRecord record;
-  record.soc = request.soc_text.empty() ? request.soc : "<inline>";
-  record.widths = outcome.widths;
-  record.solver = inner_solver_name(request.solver);
-  record.seed = request.seed;
-  record.threads_configured = request.threads;
-  record.threads_effective = resolve_thread_count(request.threads);
-  record.feasible = outcome.feasible;
-  record.status = outcome.ok ? outcome.status : "error";
-  record.gap = outcome.gap;
-  record.t_cycles = outcome.t_cycles;
-  record.solve_mode = outcome.solve_mode;
-  record.wall_ms = wall_ms;
-  record.trace_id = request.trace_id;
-  record.exit_code = outcome.ok ? (outcome.feasible ? 0 : 1) : kExitInternal;
   // Deliberately no counter snapshot: the registry is cumulative across the
   // server's lifetime, so per-request values would be meaningless.
-  obs::append_ledger_record(config_.ledger_path, record);
+  obs::append_ledger_record(config_.ledger_path,
+                            ledger_record_for(request, outcome, wall_ms));
 }
 
 void SolveService::drain() {

@@ -3,16 +3,50 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
 
 #include "common/thread_pool.hpp"
+#include "obs/ledger.hpp"
 #include "obs/obs.hpp"
 #include "service/cache.hpp"
 #include "service/protocol.hpp"
+#include "tam/architect.hpp"
 
 namespace soctest {
+
+// One solve request from either front end (`soctest` flags or a
+// soctest-req-v1 line) runs through the same four steps: load its SOC,
+// lower it to a DesignRequest, map the architect's answer to a
+// SolveOutcome, and build the ledger record from that outcome.
+
+/// The request's SOC: inline soc_text, else a builtin name (soc1..soc4),
+/// else a .soc file path.
+StatusOr<Soc> load_request_soc(const ServiceRequest& request);
+
+/// The architect's input for a validated request: widths or the search
+/// shape, every constraint, solver and threads. The caller adds cancel,
+/// progress and deadline.
+DesignRequest design_request_for(const ServiceRequest& request);
+
+/// The answer of a solve that returned. A certificate error is !ok
+/// (internal); anything else is ok with the certificate's status.
+SolveOutcome solve_outcome(const DesignResult& design);
+
+/// The answer of a solve that threw. std::runtime_error is the architect's
+/// structurally infeasible constraint set (unconnectable core, over-budget
+/// core power): ok and infeasible. std::invalid_argument is !ok
+/// invalid_argument, anything else !ok internal.
+SolveOutcome solve_outcome(const std::exception& error);
+
+/// The soctest-ledger-v1 record of one answered request. exit_code is the
+/// one the outcome implies (0 feasible, 1 infeasible, internal error);
+/// counters are left empty for the caller.
+obs::LedgerRecord ledger_record_for(const ServiceRequest& request,
+                                    const SolveOutcome& outcome,
+                                    double wall_ms);
 
 /// Server knobs (defaults match docs/service.md).
 struct ServiceConfig {

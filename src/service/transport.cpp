@@ -77,9 +77,12 @@ class LineReader {
   bool next(std::string* line, bool* oversized) {
     *oversized = false;
     while (true) {
-      const auto nl = buffer_.find('\n');
+      const auto nl = buffer_.find('\n', scanned_);
+      scanned_ = 0;
       if (nl != std::string::npos) {
-        if (discarding_) {
+        // A complete line can still breach the cap when its newline lands
+        // in the same chunk that crossed it, so its length is checked too.
+        if (discarding_ || nl > kMaxProtocolLineBytes) {
           buffer_.erase(0, nl + 1);
           discarding_ = false;
           line->clear();
@@ -125,6 +128,7 @@ class LineReader {
         eof_ = true;
         continue;
       }
+      scanned_ = buffer_.size();  // no newline before the new bytes
       buffer_.append(chunk, static_cast<std::size_t>(n));
     }
   }
@@ -132,6 +136,9 @@ class LineReader {
  private:
   int fd_;
   std::string buffer_;
+  /// Prefix of buffer_ already searched for a newline, so a long line is
+  /// scanned once rather than once per chunk.
+  std::size_t scanned_ = 0;
   bool eof_ = false;
   bool discarding_ = false;  ///< swallowing the rest of an oversized line
 };

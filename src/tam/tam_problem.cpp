@@ -9,6 +9,16 @@
 
 namespace soctest {
 
+const char* power_mode_name(PowerConstraintMode mode) {
+  return mode == PowerConstraintMode::kBusMaxSum ? "busmax" : "pairwise";
+}
+
+std::optional<PowerConstraintMode> parse_power_mode(std::string_view name) {
+  if (name == "pairwise") return PowerConstraintMode::kPairwiseSerialization;
+  if (name == "busmax") return PowerConstraintMode::kBusMaxSum;
+  return std::nullopt;
+}
+
 std::string TamProblem::validate() const {
   std::ostringstream err;
   const std::size_t n = num_cores();

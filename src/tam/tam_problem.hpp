@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "layout/constraints.hpp"
@@ -86,6 +87,13 @@ enum class PowerConstraintMode {
   /// (conservative: assumes the heaviest core of every bus may overlap).
   kBusMaxSum,
 };
+
+/// Wire and CLI name of a power mode: "pairwise" or "busmax".
+const char* power_mode_name(PowerConstraintMode mode);
+
+/// The mode named `name` (the inverse of power_mode_name); nullopt for an
+/// unknown name.
+std::optional<PowerConstraintMode> parse_power_mode(std::string_view name);
 
 /// Assembles a TamProblem from a SOC, bus widths, and the optional physical
 /// constraints of the paper:

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "tam/heuristics.hpp"
 #include "tam/ilp_solver.hpp"
@@ -13,17 +14,30 @@
 
 namespace soctest {
 
+/// Every solver with its one name (scripts/check_docs.sh diffs this table
+/// against the solver catalog in docs/service.md).
+constexpr std::pair<InnerSolver, const char*> kInnerSolverNames[] = {
+    {InnerSolver::kExact, "exact"},
+    {InnerSolver::kIlp, "ilp"},
+    {InnerSolver::kGreedy, "greedy"},
+    {InnerSolver::kSa, "sa"},
+    {InnerSolver::kPortfolio, "portfolio"},
+    {InnerSolver::kPack, "pack"},
+    {InnerSolver::kPackExact, "pack-exact"},
+};
+
 const char* inner_solver_name(InnerSolver solver) {
-  switch (solver) {
-    case InnerSolver::kExact: return "exact";
-    case InnerSolver::kIlp: return "ilp";
-    case InnerSolver::kGreedy: return "greedy";
-    case InnerSolver::kSa: return "sa";
-    case InnerSolver::kPortfolio: return "portfolio";
-    case InnerSolver::kPack: return "pack";
-    case InnerSolver::kPackExact: return "pack-exact";
+  for (const auto& [value, name] : kInnerSolverNames) {
+    if (value == solver) return name;
   }
   return "unknown";
+}
+
+std::optional<InnerSolver> parse_inner_solver(std::string_view name) {
+  for (const auto& [value, known] : kInnerSolverNames) {
+    if (name == known) return value;
+  }
+  return std::nullopt;
 }
 
 namespace {

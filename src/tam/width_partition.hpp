@@ -1,6 +1,8 @@
 #pragma once
 
 #include <functional>
+#include <optional>
+#include <string_view>
 
 #include "layout/constraints.hpp"
 #include "tam/exact_solver.hpp"
@@ -23,6 +25,11 @@ enum class InnerSolver { kExact, kIlp, kGreedy, kSa, kPortfolio, kPack, kPackExa
 /// CLI-facing name of an inner solver ("exact", "ilp", ...), matching the
 /// --solver flag values; used by reports and the run ledger.
 const char* inner_solver_name(InnerSolver solver);
+
+/// The solver named `name` (the inverse of inner_solver_name); nullopt for
+/// an unknown name. The --solver flag and the request's "solver" field
+/// both parse through it.
+std::optional<InnerSolver> parse_inner_solver(std::string_view name);
 
 /// Snapshot of an improving incumbent, pushed through the optional
 /// progress callback as the anytime search finds better architectures

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
+#include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "cli/options.hpp"
 #include "cli/run.hpp"
 #include "report/json.hpp"
+#include "service/protocol.hpp"
+#include "service/server.hpp"
 
 namespace soctest {
 namespace {
@@ -17,13 +21,13 @@ std::string trim_copy(const std::string& s) {
 
 TEST(CliParse, Defaults) {
   const CliOptions o = parse_cli({});
-  EXPECT_EQ(o.soc, "soc1");
-  EXPECT_EQ(o.buses, 2);
-  EXPECT_EQ(o.total_width, 32);
-  EXPECT_TRUE(o.widths.empty());
-  EXPECT_EQ(o.d_max, -1);
-  EXPECT_EQ(o.p_max, -1.0);
-  EXPECT_EQ(o.solver, InnerSolver::kExact);
+  EXPECT_EQ(o.request.soc, "soc1");
+  EXPECT_EQ(o.request.buses, 2);
+  EXPECT_EQ(o.request.total_width, 32);
+  EXPECT_TRUE(o.request.widths.empty());
+  EXPECT_EQ(o.request.d_max, -1);
+  EXPECT_EQ(o.request.p_max, -1.0);
+  EXPECT_EQ(o.request.solver, InnerSolver::kExact);
   EXPECT_FALSE(o.help);
   EXPECT_FALSE(o.gantt);
   EXPECT_FALSE(o.idle_insertion);
@@ -34,20 +38,21 @@ TEST(CliParse, AllFlags) {
                                   "--dmax", "20", "--wire-budget", "100",
                                   "--pmax", "1500", "--solver", "sa",
                                   "--gantt", "--idle-insertion"});
-  EXPECT_EQ(o.soc, "soc3");
-  EXPECT_EQ(o.widths, (std::vector<int>{16, 8, 8}));
-  EXPECT_EQ(o.d_max, 20);
-  EXPECT_EQ(o.wire_budget, 100);
-  EXPECT_DOUBLE_EQ(o.p_max, 1500.0);
-  EXPECT_EQ(o.solver, InnerSolver::kSa);
+  EXPECT_EQ(o.request.soc, "soc3");
+  EXPECT_EQ(o.request.widths, (std::vector<int>{16, 8, 8}));
+  EXPECT_EQ(o.request.d_max, 20);
+  EXPECT_EQ(o.request.wire_budget, 100);
+  EXPECT_DOUBLE_EQ(o.request.p_max, 1500.0);
+  EXPECT_EQ(o.request.solver, InnerSolver::kSa);
   EXPECT_TRUE(o.gantt);
   EXPECT_TRUE(o.idle_insertion);
 }
 
 TEST(CliParse, SolverNames) {
-  EXPECT_EQ(parse_cli({"--solver", "exact"}).solver, InnerSolver::kExact);
-  EXPECT_EQ(parse_cli({"--solver", "ilp"}).solver, InnerSolver::kIlp);
-  EXPECT_EQ(parse_cli({"--solver", "greedy"}).solver, InnerSolver::kGreedy);
+  EXPECT_EQ(parse_cli({"--solver", "exact"}).request.solver, InnerSolver::kExact);
+  EXPECT_EQ(parse_cli({"--solver", "ilp"}).request.solver, InnerSolver::kIlp);
+  EXPECT_EQ(parse_cli({"--solver", "greedy"}).request.solver,
+            InnerSolver::kGreedy);
   EXPECT_THROW(parse_cli({"--solver", "magic"}), std::invalid_argument);
 }
 
@@ -65,9 +70,9 @@ TEST(CliParse, Rejections) {
 }
 
 TEST(CliParse, PowerMode) {
-  EXPECT_EQ(parse_cli({"--power-mode", "pairwise"}).power_mode,
+  EXPECT_EQ(parse_cli({"--power-mode", "pairwise"}).request.power_mode,
             PowerConstraintMode::kPairwiseSerialization);
-  EXPECT_EQ(parse_cli({"--power-mode", "busmax"}).power_mode,
+  EXPECT_EQ(parse_cli({"--power-mode", "busmax"}).request.power_mode,
             PowerConstraintMode::kBusMaxSum);
   EXPECT_THROW(parse_cli({"--power-mode", "triple"}), std::invalid_argument);
 }
@@ -212,7 +217,7 @@ TEST(CliRun, SvgToUnwritablePathFails) {
 TEST(CliParse, RobustnessFlags) {
   const CliOptions o = parse_cli(
       {"--time-limit-ms", "250", "--failpoints", "tam.exact.node=error"});
-  EXPECT_DOUBLE_EQ(o.time_limit_ms, 250.0);
+  EXPECT_DOUBLE_EQ(o.request.time_limit_ms, 250.0);
   EXPECT_EQ(o.failpoints, "tam.exact.node=error");
   EXPECT_THROW(parse_cli({"--time-limit-ms", "-1"}), std::invalid_argument);
   EXPECT_THROW(parse_cli({"--time-limit-ms"}), std::invalid_argument);
@@ -264,6 +269,123 @@ TEST(CliRun, Soc3Solves) {
       parse_cli({"--soc", "soc3", "--widths", "24,16,16", "--solver", "greedy"}));
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("system test time"), std::string::npos);
+}
+
+// ------------------------------------------- CLI / service parity --
+
+// One table of solve requests, each run as `soctest` flags and as a
+// soctest-req-v1 line: both front ends must accept or reject it alike, and
+// an accepted request must have the same canonical request_json. Parsing
+// only — the threads=5000 case must never reach a solve.
+TEST(FrontEndParity, FlagsAndWireLinesAcceptAndRejectAlike) {
+  struct Case {
+    std::vector<std::string> flags;
+    std::string members;  ///< the same request as JSON members
+  };
+  const Case cases[] = {
+      {{}, ""},
+      {{"--soc", "soc3", "--widths", "16,8,8", "--dmax", "20",
+        "--wire-budget", "100", "--pmax", "1500", "--power-mode", "busmax",
+        "--ate-depth", "400000", "--solver", "sa", "--threads", "4",
+        "--time-limit-ms", "250"},
+       R"("soc":"soc3","widths":[16,8,8],"dmax":20,"wire_budget":100,)"
+       R"("pmax":1500,"power_mode":"busmax","ate_depth":400000,)"
+       R"("solver":"sa","threads":4,"time_limit_ms":250)"},
+      {{"--buses", "3", "--width", "48", "--dmax", "0", "--wire-budget", "0",
+        "--pmax", "0", "--ate-depth", "1", "--threads", "0",
+        "--time-limit-ms", "0"},
+       R"("buses":3,"width":48,"dmax":0,"wire_budget":0,"pmax":0,)"
+       R"("ate_depth":1,"threads":0,"time_limit_ms":0)"},
+      {{"--ate-depth", "0"}, R"("ate_depth":0)"},
+      {{"--ate-depth", "-5"}, R"("ate_depth":-5)"},
+      {{"--time-limit-ms", "-5"}, R"("time_limit_ms":-5)"},
+      {{"--pmax", "nan"}, R"("pmax":nan)"},
+      {{"--pmax", "-5"}, R"("pmax":-5)"},
+      {{"--dmax", "-5"}, R"("dmax":-5)"},
+      {{"--wire-budget", "-5"}, R"("wire_budget":-5)"},
+      {{"--threads", "5000"}, R"("threads":5000)"},
+      {{"--width", "70000"}, R"("width":70000)"},
+      {{"--widths", "70000,8"}, R"("widths":[70000,8])"},
+      {{"--frobnicate"}, R"("frobnicate":true)"},
+      {{"--buses"}, R"("buses":null)"},
+      {{"--buses", "0"}, R"("buses":0)"},
+      {{"--buses", "two"}, R"("buses":"two")"},
+      {{"--widths", ""}, R"("widths":[])"},
+      {{"--widths", "4,,8"}, R"("widths":[4,,8])"},
+      {{"--widths", "4,0"}, R"("widths":[4,0])"},
+      {{"--width", "2", "--buses", "3"}, R"("width":2,"buses":3)"},
+      {{"--pmax", "12x"}, R"("pmax":"12x")"},
+      {{"--solver", "magic"}, R"("solver":"magic")"},
+      {{"--power-mode", "triple"}, R"("power_mode":"triple")"},
+  };
+  for (const Case& c : cases) {
+    const std::string line = R"({"schema":"soctest-req-v1")" +
+                             (c.members.empty() ? "" : "," + c.members) + "}";
+    std::optional<CliOptions> cli;
+    try {
+      cli = parse_cli(c.flags);
+    } catch (const std::invalid_argument&) {
+    }
+    const StatusOr<ServiceRequest> wire = parse_request(line);
+    EXPECT_EQ(cli.has_value(), wire.ok())
+        << line << " -> "
+        << (wire.ok() ? "wire accepts" : wire.status().to_string());
+    if (cli && wire.ok()) {
+      EXPECT_EQ(request_json(cli->request), request_json(wire.value()))
+          << line;
+    }
+  }
+}
+
+TEST(CliParse, ConstraintFlagsSpellOffByOmission) {
+  // -1 is the wire's "off"; a flag that is given sets a limit.
+  for (const char* flag : {"--dmax", "--wire-budget", "--pmax", "--ate-depth",
+                           "--time-limit-ms"}) {
+    EXPECT_THROW(parse_cli({flag, "-1"}), std::invalid_argument) << flag;
+  }
+}
+
+std::string last_ledger_line(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::string last;
+  while (std::getline(in, line)) last = line;
+  return last;
+}
+
+TEST(FrontEndParity, OverBudgetCoreIsInfeasibleInBothLedgers) {
+  // soc1 has a core whose own test power exceeds 1 mW: a structurally
+  // infeasible request, answered "infeasible" by both front ends.
+  const std::string cli_path = ::testing::TempDir() + "/parity_cli.jsonl";
+  const std::string serve_path = ::testing::TempDir() + "/parity_serve.jsonl";
+  std::remove(cli_path.c_str());
+  std::remove(serve_path.c_str());
+
+  const CliResult r = run_cli(
+      parse_cli({"--soc", "soc1", "--pmax", "1", "--ledger", cli_path}));
+  EXPECT_EQ(r.exit_code, kExitInfeasible) << r.output;
+  {
+    ServiceConfig config;
+    config.serial = true;
+    config.ledger_path = serve_path;
+    SolveService service(config);
+    std::string response;
+    service.submit(R"({"schema":"soctest-req-v1","soc":"soc1","pmax":1})",
+                   [&](std::string line) { response = std::move(line); });
+    EXPECT_NE(response.find(R"("status":"infeasible")"), std::string::npos)
+        << response;
+  }
+
+  for (const std::string& path : {cli_path, serve_path}) {
+    const auto doc = parse_json(last_ledger_line(path));
+    ASSERT_TRUE(doc.has_value()) << path;
+    EXPECT_EQ(doc->string_or("status", ""), "infeasible") << path;
+    EXPECT_DOUBLE_EQ(doc->number_or("exit_code", -1.0), kExitInfeasible)
+        << path;
+    EXPECT_EQ(doc->string_or("soc", ""), "soc1") << path;
+  }
+  std::remove(cli_path.c_str());
+  std::remove(serve_path.c_str());
 }
 
 }  // namespace

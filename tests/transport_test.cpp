@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -194,6 +195,46 @@ TEST(TransportCap, OversizedLineGetsOneStructuredErrorAndStreamResyncs) {
   EXPECT_NE(responses.value()[1].find("\"id\":\"after-big\""),
             std::string::npos);
   EXPECT_NE(responses.value()[1].find("\"ok\":true"), std::string::npos);
+}
+
+TEST(TransportCap, StdioOversizedLineGetsOneStructuredErrorAndStreamResyncs) {
+  ServiceConfig config;
+  config.serial = true;
+  SolveService service(config);
+
+  // The same contract over serve_stdio on a pipe. The cap is a multiple of
+  // the stdio reader's chunk size, so this line's newline arrives in the
+  // chunk that crosses the cap: the reader must length-check the complete
+  // line, not only a buffer that has no newline yet.
+  int in[2];
+  int out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  std::thread writer([&] {
+    const std::string bytes = std::string(kMaxProtocolLineBytes + 1, 'x') +
+                              "\n" + greedy_req("after-big") + "\n";
+    net::write_all(in[1], bytes.data(), bytes.size());
+    ::close(in[1]);
+  });
+  EXPECT_EQ(serve_stdio(service, in[0], out[1]), 0);
+  writer.join();
+  ::close(in[0]);
+  ::close(out[1]);
+  std::string output;
+  char chunk[4096];
+  ssize_t n = 0;
+  while ((n = ::read(out[0], chunk, sizeof(chunk))) > 0) {
+    output.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(out[0]);
+
+  const auto nl = output.find('\n');
+  ASSERT_NE(nl, std::string::npos) << output.substr(0, 200);
+  EXPECT_EQ(output.substr(0, nl), oversized_line_response_json());
+  const std::string second = output.substr(nl + 1);
+  EXPECT_NE(second.find("\"id\":\"after-big\""), std::string::npos) << second;
+  EXPECT_NE(second.find("\"ok\":true"), std::string::npos) << second;
+  EXPECT_EQ(std::count(output.begin(), output.end(), '\n'), 2);
 }
 
 // ------------------------------------------------------------ idle reap --
